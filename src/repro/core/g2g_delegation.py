@@ -66,10 +66,10 @@ class G2GDelegationForwarding(Give2GetBase):
             self.variant, ctx.config.quality_timeframe
         )
         self.tracker.schedule_rollover(ctx)
-        # Node population is fixed for the run (evictions only flag
-        # nodes); built once so every camouflage draw skips an
-        # O(nodes) list build while sampling the identical sequence.
-        self._node_ids = list(ctx.nodes)
+        # Camouflage draws from the declared universe: a streaming
+        # run's lazy node table is still empty here, and on a
+        # materialized trace the universe order is the node table's.
+        self._node_ids = ctx.universe
 
     def on_contact_start(self, a: NodeId, b: NodeId, now: float) -> None:
         self.ctx.flush_timers(now)

@@ -158,9 +158,7 @@ class RunCache:
     def put(self, key: str, results: SimulationResults) -> None:
         """Atomically archive one run under its key."""
         path = self.path_for(key)
-        payload = json.dumps(
-            results_to_dict(results), indent=1, sort_keys=True
-        )
+        payload = json.dumps(results_to_dict(results), indent=1)
         fd, tmp_name = tempfile.mkstemp(
             prefix=f".{key[:12]}-", suffix=".tmp", dir=str(self._dir)
         )

@@ -27,7 +27,9 @@ from ..adversaries.factory import mixed_population, strategy_population
 from ..sim.config import SimulationConfig, config_for
 from ..sim.engine import Simulation
 from ..sim.results import SimulationResults
+from ..social.communities import CommunityMap
 from ..telemetry.export import TelemetryCollector
+from ..traces.stream import InMemorySource, source_from_spec
 from .cache import RunCache, run_key
 from .catalog import protocol
 from .setting import evaluation_community, evaluation_trace
@@ -194,50 +196,30 @@ def execute_request(
             "a RunRequest carries either a single deviation or a mix,"
             " not both"
         )
+    community: Optional[CommunityMap] = None
     if request.source:
         if request.mix or request.deviation is not None:
             raise ValueError(
                 "source requests do not support adversary placement"
                 " (deviation/mix) — it needs an enumerated node list"
             )
-        from ..traces.stream import source_from_spec
-
         source = source_from_spec(request.source)
-        config = request.config()
-        churn = None
-        energy_budgets = None
-        if request.churn or request.energy_budget:
-            from ..scenarios.spec import churn_events_for, energy_budgets_for
-
-            if request.churn:
-                churn = churn_events_for(
-                    source.universe, request.churn, seed=request.seed
-                )
-            if request.energy_budget:
-                energy_budgets = energy_budgets_for(
-                    source.universe, request.energy_budget, seed=request.seed
-                )
-        return Simulation(
-            source,
-            factory(),
-            config,
-            churn=churn,
-            energy_budgets=energy_budgets,
-        ).run()
-    trace = evaluation_trace(request.trace_name)
-    community = evaluation_community(request.trace_name)
+    else:
+        source = InMemorySource(evaluation_trace(request.trace_name))
+        community = evaluation_community(request.trace_name)
+    universe = source.universe
     config = request.config()
     strategies = None
     if request.mix:
         strategies, _ = mixed_population(
-            trace.nodes,
+            universe,
             dict(request.mix),
             seed=request.seed,
             community=community,
         )
     elif request.deviation is not None and request.deviation_count > 0:
         strategies, _ = strategy_population(
-            trace.nodes,
+            universe,
             request.deviation,
             request.deviation_count,
             seed=request.seed,
@@ -253,14 +235,14 @@ def execute_request(
 
         if request.churn:
             churn = churn_events_for(
-                trace.nodes, request.churn, seed=request.seed
+                universe, request.churn, seed=request.seed
             )
         if request.energy_budget:
             energy_budgets = energy_budgets_for(
-                trace.nodes, request.energy_budget, seed=request.seed
+                universe, request.energy_budget, seed=request.seed
             )
     return Simulation(
-        trace,
+        source,
         factory(),
         config,
         strategies=strategies,

@@ -31,14 +31,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
-from ..adversaries.factory import strategy_population
-from ..sim.engine import Simulation
 from ..sim.results import SimulationResults
 from ..sim.serialize import load_results, save_results
-from ..sim.config import config_for
 from .catalog import protocol
-from .parallel import ExecutionOptions, RunRequest, run_requests
-from .setting import evaluation_community, evaluation_trace
+from .parallel import ExecutionOptions, RunRequest, execute_request, run_requests
 
 PathLike = Union[str, Path]
 
@@ -77,10 +73,9 @@ class RunSpec:
     def request(self) -> RunRequest:
         """The :class:`RunRequest` equivalent of this grid point.
 
-        Executing the request reproduces :meth:`SweepRunner.run_one`
-        bit-for-bit — same trace/community caches, same
-        ``config_for`` call, same adversary placement — which is what
-        lets a sweep batch out over the process pool.
+        :meth:`SweepRunner.run_one` executes exactly this request, so
+        a sweep batched out over the process pool is bit-identical to
+        the sequential one.
         """
         family, _ = protocol(self.protocol)
         return RunRequest(
@@ -125,22 +120,7 @@ class SweepRunner:
             if self.on_result:
                 self.on_result(spec, results, True)
             return results
-        family, factory = protocol(spec.protocol)
-        trace = evaluation_trace(spec.trace)
-        community = evaluation_community(spec.trace)
-        config = config_for(
-            spec.trace, family, seed=spec.seed, **dict(spec.overrides)
-        )
-        strategies = None
-        if spec.deviation and spec.count:
-            strategies, _ = strategy_population(
-                trace.nodes, spec.deviation, spec.count,
-                seed=spec.seed, community=community,
-            )
-        results = Simulation(
-            trace, factory(), config,
-            strategies=strategies, community=community,
-        ).run()
+        results = execute_request(spec.request())
         save_results(results, path)
         if self.on_result:
             self.on_result(spec, results, False)

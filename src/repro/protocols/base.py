@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Protocol, Set, Tuple
+from typing import Any, Dict, Iterable, Optional, Protocol, Sequence, Set, Tuple
 
 import random
 
@@ -69,6 +69,9 @@ class SimulationContext:
             streaming source's universe — protocols must not iterate
             or size it during ``bind`` (it only holds *touched* nodes)
             and should build their own per-node maps lazily too.
+        universe: the source's declared node universe, in the eager
+            node table's order; unlike ``nodes`` it is complete even
+            while a lazy table is still empty.
     """
 
     config: SimulationConfig
@@ -83,6 +86,7 @@ class SimulationContext:
     telemetry: RunTelemetry = field(default_factory=RunTelemetry)
     energy_budgets: Dict[NodeId, float] = field(default_factory=dict)
     lazy_nodes: bool = False
+    universe: Sequence[NodeId] = ()
 
     def node(self, node_id: NodeId) -> NodeState:
         """Runtime state of ``node_id``."""

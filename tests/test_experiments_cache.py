@@ -228,6 +228,36 @@ def run_tiny_point(options):
     )
 
 
+class TestWarmEqualsCold:
+    def test_point_read_back_warm_is_bit_identical(self, tmp_path):
+        # Per-node maps keep their insertion order through the cache:
+        # sorting their string keys would reorder float sums such as
+        # the point's memory_byte_seconds and move its last bits.
+        # Seeds 3 and 5 are runs whose sorted-key sum differs.
+        def point(options):
+            return run_point(
+                "infocom05",
+                "epidemic",
+                PROTOCOLS["epidemic"][1],
+                plan=ReplicationPlan(seeds=(3, 5)),
+                config_overrides=TINY_OVERRIDES,
+                options=options,
+            )
+
+        cache = RunCache(tmp_path)
+        cold = point(ExecutionOptions(cache=cache))
+        report = RunReport()
+        warm = point(ExecutionOptions(cache=cache, report=report))
+        assert report.cached == 2 and report.executed == 0
+        metrics = [
+            f.name for f in dataclasses.fields(cold)
+            if f.name not in ("runs", "telemetry")
+        ]
+        assert [repr(getattr(warm, m)) for m in metrics] == [
+            repr(getattr(cold, m)) for m in metrics
+        ]
+
+
 class TestNoCacheBypass:
     def test_disabled_cache_neither_reads_nor_writes(self, tmp_path):
         cache = RunCache(tmp_path)
