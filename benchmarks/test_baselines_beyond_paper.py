@@ -5,8 +5,7 @@ PRoPHET, and BubbleRap (the paper's reference [5]) on the Infocom
 stand-in, between Epidemic's cost ceiling and Delegation's floor.
 """
 
-from repro.experiments import evaluation_community, evaluation_trace
-from repro.experiments.runner import ReplicationPlan
+from repro.experiments.runner import ReplicationPlan, run_point
 from repro.metrics import text_table
 from repro.protocols import (
     BubbleRapForwarding,
@@ -15,7 +14,6 @@ from repro.protocols import (
     ProphetForwarding,
     SprayAndWaitForwarding,
 )
-from repro.sim import Simulation, config_for
 
 from .conftest import run_once, save_and_print
 
@@ -33,23 +31,12 @@ PROTOCOLS = (
 
 
 def run_comparison():
-    trace = evaluation_trace("infocom05")
-    community = evaluation_community("infocom05")
     plan = ReplicationPlan.make(quick=True)
     rows = []
     by_name = {}
     for label, family, factory in PROTOCOLS:
-        success = delay = cost = 0.0
-        for seed in plan.seeds:
-            config = config_for("infocom05", family, seed=seed)
-            results = Simulation(
-                trace, factory(), config, community=community
-            ).run()
-            success += results.success_rate
-            delay += results.mean_delay
-            cost += results.cost
-        n = len(plan.seeds)
-        entry = (success / n, delay / n, cost / n)
+        point = run_point("infocom05", family, factory, plan=plan)
+        entry = (point.success_rate, point.mean_delay, point.cost)
         by_name[label] = entry
         rows.append(
             [label, f"{entry[0]:.1%}", f"{entry[1] / 60:.1f}m",

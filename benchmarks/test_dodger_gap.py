@@ -15,13 +15,11 @@ EXPERIMENTS.md discusses it and sketches mitigations (treating
 repeated refusals as evidence, delegated testing).
 """
 
+from repro import api
 from repro.core import G2GEpidemicForwarding
-from repro.core.payoff import best_response_check
+from repro.experiments.payoff import best_response_check
 from repro.experiments import evaluation_trace, standard_config
-from repro.experiments.runner import ReplicationPlan
-from repro.experiments.sweeps import RunSpec  # noqa: F401 (docs example)
 from repro.adversaries import strategy_population
-from repro.sim import Simulation
 
 from .conftest import run_once, save_and_print
 
@@ -30,9 +28,9 @@ def measure():
     trace = evaluation_trace("infocom05")
     config = standard_config("infocom05", "epidemic", 1)
     strategies, bad = strategy_population(trace.nodes, "dodger", 10, seed=1)
-    population_run = Simulation(
+    population_run = api.run(
         trace, G2GEpidemicForwarding(), config, strategies=strategies
-    ).run()
+    )
     report = best_response_check(
         trace,
         G2GEpidemicForwarding,

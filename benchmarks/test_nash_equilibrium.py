@@ -7,7 +7,7 @@ seeds) must not exceed its honest utility.
 """
 
 from repro.core import G2GDelegationForwarding, G2GEpidemicForwarding
-from repro.core.payoff import best_response_check
+from repro.experiments.payoff import best_response_check
 from repro.experiments import evaluation_trace, standard_config
 
 from .conftest import run_once, save_and_print

@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Optional
 
 from .framework import Violation
 
-_CACHE_VERSION = 2
+_SCHEMA_VERSION = 2
 _CACHE_FILENAME = "lint-cache.json"
 
 _ANALYSIS_DIR = Path(__file__).resolve().parent
@@ -97,7 +97,7 @@ class LintCache:
         except (ValueError, OSError):
             return
         if (
-            doc.get("version") != _CACHE_VERSION
+            doc.get("version") != _SCHEMA_VERSION
             or doc.get("rules") != self.fingerprint
         ):
             return
@@ -135,7 +135,7 @@ class LintCache:
             return
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         doc = {
-            "version": _CACHE_VERSION,
+            "version": _SCHEMA_VERSION,
             "rules": self.fingerprint,
             "files": self._files,
         }

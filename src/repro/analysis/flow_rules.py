@@ -1,4 +1,4 @@
-"""Whole-program flow rules G2G008–G2G013.
+"""Whole-program flow rules G2G008–G2G014.
 
 Single-file rules catch a ``random.random()`` where it is written;
 these catch the cross-module shapes that poison replayability one hop
@@ -26,6 +26,8 @@ G2G012   scheduler discipline: raw event-time arithmetic/comparisons
 G2G013   streaming discipline: ``.contacts`` materialization outside
          ``repro.traces`` — everything downstream of the trace layer
          must pull contacts through a ``ContactSource``
+G2G014   one construction site: ``Simulation(...)`` built outside
+         ``sim/`` and the run builder in ``experiments/parallel.py``
 =======  ==============================================================
 
 Each rule reads only :class:`~repro.analysis.project.ProjectModel`
@@ -90,6 +92,11 @@ SCHEDULER_REL = "sim/events.py"
 #: The only package allowed to touch ``.contacts`` directly (G2G013):
 #: the trace layer owns materialization; everything downstream streams.
 CONTACTS_OWNER_PACKAGE = "traces"
+
+#: Where a ``Simulation`` may be constructed (G2G014): the sim package
+#: itself and the one run builder every run path goes through.
+SIMULATION_OWNER_PACKAGE = "sim"
+RUN_BUILDER_REL = "experiments/parallel.py"
 
 
 def _function_index(
@@ -475,5 +482,38 @@ class StreamingDiscipline(ProjectRule):
                     " the full contact list; pull contacts through a"
                     " ContactSource (iter_contacts) so streaming"
                     " universes stay bounded-memory",
+                    column=col + 1,
+                )
+
+
+@register_project_rule
+class RunConstructionSite(ProjectRule):
+    """G2G014: a ``Simulation`` is built only by the run builder.
+
+    How a run is assembled — placement, churn and energy-budget
+    expansion over the node universe — is decided once, in
+    :func:`repro.experiments.parallel.simulate`; a hand-built
+    ``Simulation`` elsewhere re-derives it and can drift silently.
+    """
+
+    rule_id = "G2G014"
+    summary = (
+        "Simulation(...) constructed outside sim/ and the run builder"
+        " in experiments/parallel.py"
+    )
+
+    def check(self, project: ProjectModel) -> Iterator[Violation]:
+        for entry in project.modules:
+            if (
+                entry["package"] == SIMULATION_OWNER_PACKAGE
+                or entry["rel"] == RUN_BUILDER_REL
+            ):
+                continue
+            for line, col in entry.get("simulation_constructions", ()):
+                yield self.flag(
+                    entry,
+                    line,
+                    "Simulation constructed outside the run builder; build"
+                    " runs with repro.experiments.parallel.simulate",
                     column=col + 1,
                 )

@@ -1,7 +1,7 @@
 """Whole-program model for the cross-module flow rules.
 
 The single-file rules (G2G001–G2G007) see one AST at a time; the flow
-rules (G2G008–G2G013, :mod:`repro.analysis.flow_rules`) reason about
+rules (G2G008–G2G014, :mod:`repro.analysis.flow_rules`) reason about
 the program: a seeded-RNG leak *through* a call chain, a counter
 declared in one module and incremented in another, an import edge that
 violates layering.  This module gives them a shared
@@ -74,6 +74,12 @@ _EVENT_LIKE_NAMES = ("event", "timer", "handle", "transition")
 #: Event/timer classes whose direct construction outside the scheduler
 #: and its sanctioned consumers bypasses ``Scheduler.schedule``.
 _EVENT_CLASS_SUFFIXES = ("events.Event", "events.TimerHandle")
+
+#: The names ``Simulation`` is reachable under (the engine module and
+#: its package re-exports); constructing it is what G2G014 fences.
+_SIMULATION_NAMES = frozenset({
+    "repro.sim.engine.Simulation", "repro.sim.Simulation", "repro.Simulation",
+})
 
 
 def module_dotted_name(rel: str) -> str:
@@ -361,6 +367,7 @@ def module_facts(module: LintModule) -> Optional[Dict[str, Any]]:
     event_time_ops: List[List[Any]] = []
     event_constructions: List[List[Any]] = []
     contacts_reads: List[List[int]] = []
+    simulation_constructions: List[List[int]] = []
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Attribute) and node.attr == "contacts":
             contacts_reads.append([node.lineno, node.col_offset])
@@ -393,6 +400,8 @@ def module_facts(module: LintModule) -> Optional[Dict[str, Any]]:
                 event_constructions.append(
                     [node.lineno, node.col_offset, resolved.rsplit(".", 1)[-1]]
                 )
+            if resolved in _SIMULATION_NAMES:
+                simulation_constructions.append([node.lineno, node.col_offset])
 
     public_defs: List[List[Any]] = []
     dunder_all: Optional[List[str]] = None
@@ -435,6 +444,7 @@ def module_facts(module: LintModule) -> Optional[Dict[str, Any]]:
         "event_time_ops": event_time_ops,
         "event_constructions": event_constructions,
         "contacts_reads": contacts_reads,
+        "simulation_constructions": simulation_constructions,
     }
 
 

@@ -1,17 +1,16 @@
 """The stable public API facade: ``repro.api.run`` and ``repro.api.sweep``.
 
 These two functions are the blessed entry points for driving the
-reproduction programmatically.  They wrap the lower-level machinery —
-:class:`repro.sim.Simulation`, :func:`repro.sim.run_simulation`,
-:func:`repro.experiments.run_point` / ``run_series`` — behind a small,
-keyword-driven surface that accepts names where the paper setting has
-one (trace names, catalog protocol names, adversary kinds) and objects
-where callers built their own.
+reproduction programmatically.  They resolve names where the paper
+setting has one (trace names, catalog protocol names, adversary
+kinds) and accept objects where callers built their own, then hand
+off to the experiment layer: ``run`` to the single run builder
+:func:`repro.experiments.parallel.simulate`, ``sweep`` to
+:func:`repro.experiments.run_series`.
 
-The wrapped entry points are **not** deprecated in the breaking sense:
-``Simulation``, ``run_simulation``, ``run_point`` and friends remain
-public, supported, and are what the facade itself calls.  They are
-simply no longer the *documented first door* — new code, the examples,
+The lower-level entry points — ``Simulation``, ``run_simulation``,
+``run_point`` and friends — remain public and supported.  They are
+simply no longer the *documented first door*: new code, the examples,
 and the quickstart go through ``repro.api``, whose signatures are
 pinned by ``tests/test_public_api.py``.
 
@@ -47,11 +46,10 @@ if TYPE_CHECKING:
     from .crypto.provider import CryptoProvider
 
 from .adversaries.base import Strategy
-from .adversaries.factory import mixed_population, strategy_population
 from .core.blacklist import BlacklistService
 from .experiments.cache import RunCache
 from .experiments.catalog import protocol as catalog_protocol
-from .experiments.parallel import ExecutionOptions, RunReport
+from .experiments.parallel import ExecutionOptions, RunReport, simulate
 from .experiments.runner import PointResult, run_series
 from .experiments.setting import (
     ReplicationPlan,
@@ -60,7 +58,6 @@ from .experiments.setting import (
 )
 from .protocols.base import CommunityOracle, ForwardingProtocol
 from .sim.config import SimulationConfig, config_for
-from .sim.engine import Simulation
 from .sim.results import SimulationResults
 from .telemetry.export import TelemetryCollector
 from .traces.stream import ContactSource
@@ -154,13 +151,6 @@ def run(
             community = evaluation_community(trace)
     else:
         trace_obj = trace
-    # Node universe for population/scenario expansion: a streaming
-    # source declares it (possibly as a range); a trace enumerates it.
-    universe = (
-        trace_obj.universe
-        if isinstance(trace_obj, ContactSource)
-        else trace_obj.nodes
-    )
 
     if isinstance(protocol, str):
         family, factory = catalog_protocol(protocol)
@@ -193,56 +183,19 @@ def run(
         else:
             run_config = SimulationConfig(**overrides)  # type: ignore[arg-type]
 
-    if mix is not None:
-        if strategies is not None or adversary is not None:
-            raise ValueError(
-                "pass exactly one of mix, adversary/adversary_count,"
-                " or strategies"
-            )
-        strategies, _ = mixed_population(
-            universe,
-            dict(mix),
-            seed=run_config.seed,
-            community=community,
-        )
-    elif adversary is not None and adversary_count > 0:
-        if strategies is not None:
-            raise ValueError(
-                "pass either adversary/adversary_count or strategies, not both"
-            )
-        strategies, _ = strategy_population(
-            universe,
-            adversary,
-            adversary_count,
-            seed=run_config.seed,
-            community=community,
-        )
-
-    churn_schedule = None
-    if churn:
-        from .scenarios.spec import churn_events_for
-
-        churn_schedule = churn_events_for(
-            universe, list(churn), seed=run_config.seed
-        )
-    budgets = None
-    if energy_budgets:
-        from .scenarios.spec import energy_budgets_for
-
-        budgets = energy_budgets_for(
-            universe, tuple(energy_budgets), seed=run_config.seed
-        )
-
-    results = Simulation(
+    results = simulate(
         trace_obj,
         protocol_obj,
         run_config,
-        strategies=strategies,
         community=community,
+        strategies=strategies,
+        deviation=adversary,
+        deviation_count=adversary_count,
+        mix=mix,
+        churn=tuple(churn or ()),
+        energy_budget=tuple(energy_budgets or ()),
         blacklist=blacklist,
-        churn=churn_schedule,
-        energy_budgets=budgets,
-    ).run()
+    )
 
     collector, export_path = _resolve_telemetry(telemetry, "runs.jsonl")
     if collector is not None:

@@ -44,7 +44,6 @@ import os
 import sys
 from typing import List, Optional
 
-from .adversaries import strategy_population
 from .experiments import LABELS, PROTOCOLS
 from .social import CommunityMap
 from .traces import TraceProfile, save_trace, trace_by_name
@@ -175,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--out", default=None, help="save to this path")
 
     sweep = sub.add_parser(
-        "sweep", help="run an archived, resumable adversary sweep",
+        "sweep", help="run a resumable adversary sweep over the run cache",
         parents=[
             _trace_parent(), _protocol_parent(), _workers_parent(),
             _telemetry_parent(),
@@ -188,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--seeds", default="1,2", help="comma-separated seeds")
     sweep.add_argument("--archive", default="sweep-runs",
-                       help="archive directory")
+                       help="run-cache directory; a rerun resumes from it")
     sweep.add_argument("--csv", default=None, help="also export CSV here")
 
     telemetry = sub.add_parser(
@@ -272,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--project", action="store_true",
-        help="also run the whole-program flow rules (G2G008-G2G013)",
+        help="also run the whole-program flow rules (G2G008-G2G014)",
     )
     lint.add_argument(
         "--format", default="text", choices=["text", "json", "sarif"],
@@ -357,29 +356,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_simulate(args) -> int:
     from . import api
-    from .experiments import evaluation_community, evaluation_trace
+    from .experiments import RunRequest
     from .telemetry.export import record_line, run_record
 
-    strategies = None
-    misbehaving = ()
-    if args.adversary and args.count > 0:
-        trace = evaluation_trace(args.trace)
-        community = evaluation_community(args.trace)
-        strategies, misbehaving = strategy_population(
-            trace.nodes, args.adversary, args.count,
-            seed=args.seed, community=community,
-        )
-        if not args.json:
-            print(
-                f"planted {args.count} x {args.adversary}: "
-                f"nodes {list(misbehaving)}"
-            )
+    misbehaving = RunRequest(
+        trace_name=args.trace,
+        family=PROTOCOLS[args.protocol][0],
+        protocol_name=args.protocol,
+        seed=args.seed,
+        deviation=args.adversary,
+        deviation_count=args.count,
+    ).misbehaving()
+    if misbehaving and not args.json:
+        print(f"planted {args.count} x {args.adversary}: nodes {list(misbehaving)}")
     try:
         results = api.run(
             args.trace,
             args.protocol,
             seed=args.seed,
-            strategies=strategies,
+            adversary=args.adversary,
+            adversary_count=args.count,
             telemetry=args.telemetry_dir,
             provider=args.provider,
         )
@@ -499,44 +495,65 @@ def cmd_trace(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import csv
+
+    from .experiments.cache import RunCache
+    from .experiments.catalog import protocol
     from .experiments.parallel import ExecutionOptions
-    from .experiments.sweeps import SweepRunner, dropper_grid
+    from .experiments.runner import run_series
+    from .experiments.setting import ReplicationPlan
     from .telemetry.export import TelemetryCollector
 
     counts = tuple(int(c) for c in args.counts.split(","))
     seeds = tuple(int(s) for s in args.seeds.split(","))
-    sweep_name = f"{args.trace}-{args.protocol}-{args.adversary}"
-    runner = SweepRunner(
-        archive_dir=args.archive,
-        sweep=sweep_name,
-        on_result=lambda spec, results, cached: print(
-            f"  [{'cached' if cached else 'ran   '}] {spec.spec_id}: "
-            f"success {results.success_rate:.1%}, "
-            f"{len(results.detections)} PoMs"
+    family, factory = protocol(args.protocol)
+    print(
+        f"sweep {args.trace}-{args.protocol}-{args.adversary}:"
+        f" {len(counts) * len(seeds)} runs -> {args.archive}"
+    )
+    options = ExecutionOptions(
+        workers=max(1, args.workers),
+        cache=RunCache(args.archive),
+        on_progress=lambda done, total, cached: print(
+            f"  [{'cached' if cached else 'ran   '}] run {done}/{total}"
         ),
+        telemetry=TelemetryCollector() if args.telemetry_dir else None,
     )
-    specs = dropper_grid(
-        args.trace, args.protocol, counts=counts, seeds=seeds,
-        deviation=args.adversary,
+    points = run_series(
+        args.trace, family, factory, counts, args.adversary,
+        plan=ReplicationPlan(seeds=seeds), options=options,
+        protocol_name=args.protocol,
     )
-    print(f"sweep {sweep_name}: {len(specs)} runs -> {runner.path_for(specs[0]).parent}")
-    options = ExecutionOptions(workers=max(1, args.workers))
-    outcomes = runner.run_all(specs, options=options)
-    if args.telemetry_dir:
-        collector = TelemetryCollector()
-        for spec in specs:
-            collector.add(outcomes[spec])
+    for count, point in points:
+        print(
+            f"  {args.adversary} count {count}: success"
+            f" {point.success_rate:.1%},"
+            f" {sum(len(run.detections) for run in point.runs)} PoMs"
+        )
+    if options.telemetry is not None:
         path = os.path.join(args.telemetry_dir, "sweep.jsonl")
-        written = collector.write_jsonl(path)
-        skipped = collector.skipped
+        written = options.telemetry.write_jsonl(path)
+        skipped = options.telemetry.skipped
         print(
             f"telemetry: {written} run records -> {path}"
-            + (f" ({skipped} archived runs without telemetry)"
+            + (f" ({skipped} cache hits without telemetry)"
                if skipped else "")
         )
     if args.csv:
-        written = runner.summary_csv(args.csv)
-        print(f"wrote {written} summary rows to {args.csv}")
+        rows = [
+            {
+                "trace": args.trace, "protocol": args.protocol,
+                "adversary": args.adversary if count else "",
+                "count": count, "seed": seed, **run.summary(),
+            }
+            for count, point in points
+            for seed, run in zip(seeds, point.runs)
+        ]
+        with open(args.csv, "w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        print(f"wrote {len(rows)} summary rows to {args.csv}")
     return 0
 
 

@@ -5,7 +5,7 @@ with a ``render()`` text form; the benchmark suite under
 ``benchmarks/`` drives these and prints the paper-shaped tables.
 """
 
-from . import ablations, fig3, fig4, fig5, fig7, fig8, sweeps, table1
+from . import ablations, fig3, fig4, fig5, fig7, fig8, table1
 from .cache import CacheStats, RunCache, run_key
 from .catalog import LABELS, PROTOCOLS, protocol
 from .parallel import (
@@ -14,6 +14,13 @@ from .parallel import (
     RunRequest,
     execute_request,
     run_requests,
+    simulate,
+)
+from .payoff import (
+    BestResponseReport,
+    DeviationOutcome,
+    UtilityModel,
+    best_response_check,
 )
 from .runner import (
     FigureData,
@@ -24,7 +31,6 @@ from .runner import (
     run_point,
     run_series,
 )
-from .sweeps import RunSpec, SweepRunner, dropper_grid
 from .setting import (
     COMMUNITY_PARAMS,
     TRACES,
@@ -35,7 +41,9 @@ from .setting import (
 )
 
 __all__ = [
+    "BestResponseReport",
     "COMMUNITY_PARAMS",
+    "DeviationOutcome",
     "CacheStats",
     "ExecutionOptions",
     "FigureData",
@@ -48,8 +56,10 @@ __all__ = [
     "RunRequest",
     "Series",
     "TRACES",
+    "UtilityModel",
     "ablations",
     "adversary_counts",
+    "best_response_check",
     "evaluation_community",
     "evaluation_trace",
     "execute_request",
@@ -64,10 +74,7 @@ __all__ = [
     "run_point",
     "run_requests",
     "run_series",
-    "RunSpec",
+    "simulate",
     "standard_config",
-    "SweepRunner",
-    "dropper_grid",
-    "sweeps",
     "table1",
 ]

@@ -14,8 +14,10 @@ input that can change the output:
 * every :class:`~repro.sim.config.SimulationConfig` field, including
   the nested :class:`~repro.sim.config.EnergyModel`;
 * the replication seed;
-* a code-version tag (bump :data:`CACHE_VERSION` whenever simulation
-  semantics change).
+* a fingerprint of the ``repro`` package's sources
+  (:func:`source_fingerprint`), so any code edit — a semantic change
+  to a protocol or the engine included — invalidates every entry
+  instead of serving a stale result.
 
 Corrupted or unreadable entries are treated as misses, never errors:
 a crashed writer or a stale format can cost a re-run but cannot
@@ -27,6 +29,7 @@ name.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -45,13 +48,31 @@ from ..sim.serialize import (
 
 PathLike = Union[str, Path]
 
-#: Bump whenever simulation semantics change in a way that should
-#: invalidate previously cached runs (the serialize format version is
-#: hashed in independently).
-CACHE_VERSION = 1
-
 #: Default cache location used by the CLI.
 DEFAULT_CACHE_DIR = ".repro-cache"
+
+_PACKAGE_DIR = Path(__file__).resolve().parent.parent
+
+
+@functools.lru_cache(maxsize=None)
+def source_fingerprint() -> str:
+    """sha256 over every ``.py`` source of the ``repro`` package.
+
+    Covers each file's package-relative path and bytes, in path order;
+    computed once per process.  Any code edit moves it — including
+    edits that cannot change a result, which merely cost a re-run.
+    """
+    digest = hashlib.sha256()
+    sources = sorted(
+        (path.relative_to(_PACKAGE_DIR).as_posix(), path)
+        for path in _PACKAGE_DIR.rglob("*.py")
+    )
+    for rel, path in sources:
+        digest.update(rel.encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
 
 
 def run_key(
@@ -79,7 +100,7 @@ def run_key(
     valid.
     """
     payload = {
-        "cache_version": CACHE_VERSION,
+        "code": source_fingerprint(),
         "format_version": FORMAT_VERSION,
         "trace": trace_name,
         "family": family,

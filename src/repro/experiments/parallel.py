@@ -14,22 +14,29 @@ in the parent process and only for runs that completed — a worker
 crash surfaces its exception (the first one in request order, after
 the rest of the batch drains) without hanging the pool or leaving a
 partial cache entry behind.
+
+:func:`simulate` is the one place a run is assembled; requests,
+:func:`repro.api.run` and the Nash payoff harness all go through it.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from ..adversaries.base import Strategy
 from ..adversaries.factory import mixed_population, strategy_population
+from ..core.blacklist import BlacklistService
+from ..protocols.base import CommunityOracle, ForwardingProtocol
 from ..sim.config import SimulationConfig, config_for
 from ..sim.engine import Simulation
 from ..sim.results import SimulationResults
 from ..social.communities import CommunityMap
 from ..telemetry.export import TelemetryCollector
-from ..traces.stream import InMemorySource, source_from_spec
+from ..traces.stream import ContactSource, ensure_contact_source, source_from_spec
+from ..traces.trace import ContactTrace, NodeId
 from .cache import RunCache, run_key
 from .catalog import protocol
 from .setting import evaluation_community, evaluation_trace
@@ -167,6 +174,66 @@ class RunRequest:
         return misbehaving
 
 
+def simulate(
+    source: Union[ContactTrace, ContactSource],
+    protocol: ForwardingProtocol,
+    config: SimulationConfig,
+    *,
+    community: Optional[CommunityOracle] = None,
+    strategies: Optional[Dict[NodeId, Strategy]] = None,
+    deviation: Optional[str] = None,
+    deviation_count: int = 0,
+    mix: Optional[Mapping[str, float]] = None,
+    churn: Sequence[Tuple[float, float, Optional[float]]] = (),
+    energy_budget: Sequence[Any] = (),
+    blacklist: Optional[BlacklistService] = None,
+) -> SimulationResults:
+    """Build one run and execute it — the one place a run is assembled.
+
+    Adversary placement (explicit ``strategies``, ``deviation_count``
+    nodes of kind ``deviation``, or a ``mix`` of kind -> fraction;
+    at most one), churn cohorts and the energy-budget spec (as in
+    :class:`RunRequest`) are expanded over the source's node universe,
+    each seeded by ``config.seed``.  ``protocol`` must be fresh.
+    """
+    if sum(x is not None for x in (strategies, deviation, mix)) > 1:
+        raise ValueError("pass at most one of strategies, deviation or mix")
+    source = ensure_contact_source(source, "simulate")
+    universe = source.universe
+    if mix is not None:
+        strategies, _ = mixed_population(
+            universe, dict(mix), seed=config.seed, community=community
+        )
+    elif deviation is not None and deviation_count > 0:
+        strategies, _ = strategy_population(
+            universe, deviation, deviation_count, seed=config.seed, community=community
+        )
+    churn_events = None
+    energy_budgets = None
+    if churn or energy_budget:
+        # Lazy import: repro.scenarios imports this module for
+        # RunRequest/run_requests, so the expansion helpers must load
+        # only when a scenario run actually executes.
+        from ..scenarios.spec import churn_events_for, energy_budgets_for
+
+        if churn:
+            churn_events = churn_events_for(universe, churn, seed=config.seed)
+        if energy_budget:
+            energy_budgets = energy_budgets_for(
+                universe, tuple(energy_budget), seed=config.seed
+            )
+    return Simulation(
+        source,
+        protocol,
+        config,
+        strategies=strategies,
+        community=community,
+        blacklist=blacklist,
+        churn=churn_events,
+        energy_budgets=energy_budgets,
+    ).run()
+
+
 def execute_request(
     request: RunRequest,
     factory: Optional[Callable[[], object]] = None,
@@ -191,11 +258,7 @@ def execute_request(
                 "ad-hoc RunRequest needs an explicit protocol factory"
             )
         _, factory = protocol(request.protocol_name)
-    if request.mix and request.deviation is not None:
-        raise ValueError(
-            "a RunRequest carries either a single deviation or a mix,"
-            " not both"
-        )
+    source: Union[ContactTrace, ContactSource]
     community: Optional[CommunityMap] = None
     if request.source:
         if request.mix or request.deviation is not None:
@@ -205,51 +268,19 @@ def execute_request(
             )
         source = source_from_spec(request.source)
     else:
-        source = InMemorySource(evaluation_trace(request.trace_name))
+        source = evaluation_trace(request.trace_name)
         community = evaluation_community(request.trace_name)
-    universe = source.universe
-    config = request.config()
-    strategies = None
-    if request.mix:
-        strategies, _ = mixed_population(
-            universe,
-            dict(request.mix),
-            seed=request.seed,
-            community=community,
-        )
-    elif request.deviation is not None and request.deviation_count > 0:
-        strategies, _ = strategy_population(
-            universe,
-            request.deviation,
-            request.deviation_count,
-            seed=request.seed,
-            community=community,
-        )
-    churn = None
-    energy_budgets = None
-    if request.churn or request.energy_budget:
-        # Lazy import: repro.scenarios imports this module for
-        # RunRequest/run_requests, so the expansion helpers must load
-        # only when a scenario request actually executes.
-        from ..scenarios.spec import churn_events_for, energy_budgets_for
-
-        if request.churn:
-            churn = churn_events_for(
-                universe, request.churn, seed=request.seed
-            )
-        if request.energy_budget:
-            energy_budgets = energy_budgets_for(
-                universe, request.energy_budget, seed=request.seed
-            )
-    return Simulation(
+    return simulate(
         source,
         factory(),
-        config,
-        strategies=strategies,
+        request.config(),
         community=community,
-        churn=churn,
-        energy_budgets=energy_budgets,
-    ).run()
+        deviation=request.deviation,
+        deviation_count=request.deviation_count,
+        mix=dict(request.mix) if request.mix else None,
+        churn=request.churn,
+        energy_budget=request.energy_budget,
+    )
 
 
 @dataclass

@@ -6,7 +6,8 @@ protocol factory and an adversary specification, and returns the
 averaged metrics the paper plots (success %, delay, cost, detection
 rate, detection time).  :func:`run_series` executes a whole sweep of
 points as one flat batch, so a process pool can overlap runs *across*
-grid points, not just within one.
+grid points, not just within one; :func:`run_point` is a one-count
+series.
 
 Both accept :class:`~repro.experiments.parallel.ExecutionOptions` to
 select worker count and result caching; the default (no options) is
@@ -127,30 +128,6 @@ def point_from_runs(
     )
 
 
-def _requests_for_point(
-    trace_name: str,
-    family: str,
-    protocol_name: Optional[str],
-    deviation: Optional[str],
-    deviation_count: int,
-    plan: ReplicationPlan,
-    config_overrides: Optional[Dict[str, object]],
-) -> List[RunRequest]:
-    overrides = tuple(sorted((config_overrides or {}).items()))
-    return [
-        RunRequest(
-            trace_name=trace_name,
-            family=family,
-            protocol_name=protocol_name,
-            seed=seed,
-            deviation=deviation if deviation_count > 0 else None,
-            deviation_count=deviation_count if deviation else 0,
-            overrides=overrides,
-        )
-        for seed in plan.seeds
-    ]
-
-
 def run_point(
     trace_name: str,
     family: str,
@@ -179,22 +156,17 @@ def run_point(
             identity when omitted.  Factories not in the catalog run
             in-process and uncached regardless of ``options``.
     """
-    if plan is None:
-        plan = ReplicationPlan()
-    if protocol_name is None:
-        protocol_name = protocol_name_for(protocol_factory)
-    requests = _requests_for_point(
-        trace_name, family, protocol_name,
-        deviation, deviation_count, plan, config_overrides,
-    )
-    if protocol_name is None:
-        runs: List[SimulationResults] = [
-            execute_request(request, factory=protocol_factory)
-            for request in requests
-        ]
-    else:
-        runs = run_requests(requests, options)
-    return point_from_runs(runs, [r.misbehaving() for r in requests])
+    return run_series(
+        trace_name,
+        family,
+        protocol_factory,
+        (deviation_count,),
+        deviation,
+        plan=plan,
+        config_overrides=config_overrides,
+        options=options,
+        protocol_name=protocol_name,
+    )[0][1]
 
 
 def run_series(
@@ -222,11 +194,21 @@ def run_series(
         plan = ReplicationPlan()
     if protocol_name is None:
         protocol_name = protocol_name_for(protocol_factory)
+    overrides = tuple(sorted((config_overrides or {}).items()))
+    # A zero count or a None deviation is an all-honest run.
     batches = [
-        _requests_for_point(
-            trace_name, family, protocol_name,
-            deviation if count else None, count, plan, config_overrides,
-        )
+        [
+            RunRequest(
+                trace_name=trace_name,
+                family=family,
+                protocol_name=protocol_name,
+                seed=seed,
+                deviation=deviation if count > 0 else None,
+                deviation_count=count if deviation else 0,
+                overrides=overrides,
+            )
+            for seed in plan.seeds
+        ]
         for count in counts
     ]
     flat = [request for batch in batches for request in batch]

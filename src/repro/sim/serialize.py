@@ -1,24 +1,18 @@
-"""JSON archival of simulation results.
+"""The JSON form of simulation results.
 
-Long sweeps are expensive; archiving per-run results lets analyses be
-re-cut without re-simulating. The format is stable, versioned, and
-human-greppable: headline metrics plus full per-message and
-per-detection records.
+The run cache (:class:`repro.experiments.cache.RunCache`) stores each
+finished run in this form, so analyses can be re-cut without
+re-simulating.  The format is stable, versioned, and human-greppable:
+headline metrics plus full per-message and per-detection records.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
-from typing import Union
 
 from .messages import Message
 from .results import DetectionRecord, MessageRecord, SimulationResults
 
 #: Format version; bump on breaking layout changes.
 FORMAT_VERSION = 1
-
-PathLike = Union[str, Path]
 
 
 def results_to_dict(results: SimulationResults) -> dict:
@@ -132,15 +126,3 @@ def results_from_dict(data: dict) -> SimulationResults:
         int(k): v for k, v in data["deviation_counts"].items()
     }
     return results
-
-
-def save_results(results: SimulationResults, path: PathLike) -> None:
-    """Write results as JSON."""
-    Path(path).write_text(
-        json.dumps(results_to_dict(results), indent=1)
-    )
-
-
-def load_results(path: PathLike) -> SimulationResults:
-    """Read results written by :func:`save_results`."""
-    return results_from_dict(json.loads(Path(path).read_text()))

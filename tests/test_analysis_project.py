@@ -1,4 +1,4 @@
-"""Tests for the whole-program analysis layer (G2G008–G2G013).
+"""Tests for the whole-program analysis layer (G2G008–G2G014).
 
 Each project rule has one violating and one clean fixture mini-tree
 under ``tests/fixtures/project/<case>/repro/``; the shipped source
@@ -44,6 +44,7 @@ EXPECTED_BAD = {
         ("repro/sim/engine.py", 13),
     ],
     "G2G013": [("repro/sim/engine.py", 6)],
+    "G2G014": [("repro/experiments/payoff.py", 7)],
 }
 
 
@@ -316,3 +317,25 @@ class TestRuleDetails:
             "G2G012",
         )
         assert violations == []
+
+    def test_g2g014_package_reexport_is_flagged(self):
+        violations = self._check(
+            [
+                (
+                    "t/repro/api.py",
+                    "from .sim import Simulation\n\n"
+                    "def run(trace, protocol, config):\n"
+                    "    return Simulation(trace, protocol, config).run()\n",
+                ),
+                (
+                    "t/repro/sim/engine.py",
+                    "from . import Simulation\n\n"
+                    "def run_simulation(trace, protocol, config):\n"
+                    "    return Simulation(trace, protocol, config).run()\n",
+                ),
+            ],
+            "G2G014",
+        )
+        assert [(v.path, v.line) for v in violations] == [
+            ("t/repro/api.py", 4)
+        ]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.adversaries import Dropper
 from repro.core import G2GEpidemicForwarding
-from repro.core.payoff import (
+from repro.experiments.payoff import (
     BestResponseReport,
     DeviationOutcome,
     UtilityModel,

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.experiments import cache as cache_module
 from repro.experiments import (
     ExecutionOptions,
     ReplicationPlan,
@@ -77,6 +78,33 @@ class TestRunKey:
             check=True,
         )
         assert child.stdout.strip() == key_of()
+
+    def test_key_moves_with_the_source_fingerprint(self, monkeypatch):
+        """A code edit must miss the cache, never serve a stale run."""
+        reference = key_of()
+        monkeypatch.setattr(cache_module, "source_fingerprint", lambda: "0" * 64)
+        assert key_of() != reference
+
+    def test_source_fingerprint_tracks_every_source(self, monkeypatch, tmp_path):
+        (tmp_path / "sim").mkdir()
+        engine = tmp_path / "sim" / "engine.py"
+        engine.write_text("TTL = 1\n")
+        (tmp_path / "notes.txt").write_text("not a source\n")
+        monkeypatch.setattr(cache_module, "_PACKAGE_DIR", tmp_path)
+        compute = cache_module.source_fingerprint.__wrapped__
+        before = compute()
+        assert compute() == before
+        (tmp_path / "notes.txt").write_text("edited\n")
+        assert compute() == before
+        engine.write_text("TTL = 2\n")
+        assert compute() != before
+
+    def test_source_fingerprint_computed_once(self):
+        assert (
+            cache_module.source_fingerprint()
+            == cache_module.source_fingerprint.__wrapped__()
+        )
+        assert cache_module.source_fingerprint.cache_info().misses == 1
 
     def test_every_config_field_is_key_relevant(self):
         """Changing any SimulationConfig field must miss the cache."""

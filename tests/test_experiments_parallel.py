@@ -238,3 +238,51 @@ class TestAdHocFactories:
         # ad-hoc factories have no stable identity: never cached
         assert cache.stats.writes == 0
         assert cache.stats.hits == 0
+
+
+class TestOneRunBuilder:
+    """``api.run`` and ``execute_request`` assemble a run identically."""
+
+    def test_scenario_run_matches_across_entry_points(self):
+        from repro import api
+        from repro.perf.bench import results_digest
+
+        mix = (("dropper", 0.1), ("liar", 0.05))
+        churn = ((0.1, 600.0, 1200.0),)
+        budget = ("uniform", 5.0, 50.0)
+        request = RunRequest(
+            trace_name="infocom05",
+            family="epidemic",
+            protocol_name="g2g_epidemic",
+            seed=2,
+            overrides=tuple(sorted(TINY.items())),
+            mix=mix,
+            churn=churn,
+            energy_budget=budget,
+        )
+        via_request = run_requests([request])[0]
+        via_api = api.run(
+            "infocom05",
+            "g2g_epidemic",
+            TINY,
+            seed=2,
+            mix=dict(mix),
+            churn=churn,
+            energy_budgets=budget,
+        )
+        assert results_digest(via_api) == results_digest(via_request)
+
+    def test_placement_inputs_are_exclusive(self):
+        from repro.adversaries import Dropper
+        from repro.experiments import evaluation_trace, simulate
+        from repro.sim.config import config_for
+
+        with pytest.raises(ValueError, match="at most one"):
+            simulate(
+                evaluation_trace("infocom05"),
+                G2GEpidemicForwarding(),
+                config_for("infocom05", "epidemic", seed=1, **TINY),
+                strategies={0: Dropper()},
+                deviation="dropper",
+                deviation_count=3,
+            )

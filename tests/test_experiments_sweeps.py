@@ -1,117 +1,76 @@
-"""Tests for the resumable sweep runner."""
+"""Tests for resumable sweeps: a series over the run cache."""
 
-import pytest
+import csv
 
-from repro.experiments.sweeps import RunSpec, SweepRunner, dropper_grid
+from repro.cli import main
+from repro.experiments import (
+    PROTOCOLS,
+    ExecutionOptions,
+    ReplicationPlan,
+    RunCache,
+    RunReport,
+    run_series,
+)
 
-
-class TestRunSpec:
-    def test_spec_id_stable(self):
-        spec = RunSpec(
-            trace="infocom05", protocol="epidemic", seed=2,
-            deviation="dropper", count=10,
-        )
-        assert spec.spec_id == "infocom05_epidemic_s2_dropper10"
-
-    def test_spec_id_with_overrides(self):
-        spec = RunSpec(
-            trace="infocom05", protocol="epidemic",
-            overrides=(("relay_fanout", 3),),
-        )
-        assert "relay_fanout=3" in spec.spec_id
-
-    def test_hashable(self):
-        assert len({RunSpec(trace="t", protocol="p"),
-                    RunSpec(trace="t", protocol="p")}) == 1
-
-    def test_grid_builder(self):
-        grid = dropper_grid(
-            "infocom05", "epidemic", counts=(0, 10), seeds=(1, 2)
-        )
-        assert len(grid) == 4
-        zero = [s for s in grid if s.count == 0]
-        assert all(s.deviation is None for s in zero)
+#: 30x fewer messages than the paper rate keeps each run light.
+LIGHT = {"mean_interarrival": 120.0}
 
 
-class TestSweepRunner:
-    @pytest.fixture
-    def runner(self, tmp_path):
-        events = []
-        runner = SweepRunner(
-            archive_dir=tmp_path, sweep="unit",
-            on_result=lambda spec, results, cached: events.append(
-                (spec.spec_id, cached)
-            ),
-        )
-        runner._events = events  # test-side handle
-        return runner
+def sweep(cache, report=None):
+    return run_series(
+        "infocom05",
+        "epidemic",
+        PROTOCOLS["epidemic"][1],
+        (0, 5),
+        "dropper",
+        plan=ReplicationPlan(seeds=(1, 2)),
+        config_overrides=LIGHT,
+        options=ExecutionOptions(cache=cache, report=report),
+    )
 
-    @pytest.fixture
-    def spec(self):
-        return RunSpec(
-            trace="infocom05", protocol="epidemic", seed=1,
-            # lighten the run: 30x fewer messages than the paper rate
-            overrides=(("mean_interarrival", 120.0),),
-        )
 
-    def test_run_and_archive(self, runner, spec):
-        results = runner.run_one(spec)
-        assert runner.is_done(spec)
-        assert runner.path_for(spec).exists()
-        assert results.generated > 0
-        assert runner._events == [(spec.spec_id, False)]
-
-    def test_resume_uses_archive(self, runner, spec):
-        first = runner.run_one(spec)
-        again = runner.run_one(spec)
-        assert runner._events[-1] == (spec.spec_id, True)
-        assert again.summary().keys() == first.summary().keys()
-        assert again.generated == first.generated
-
-    def test_force_reruns(self, runner, spec):
-        runner.run_one(spec)
-        runner.run_one(spec, force=True)
-        assert runner._events == [(spec.spec_id, False)] * 2
-
-    def test_collect_and_summary(self, runner, spec):
-        runner.run_one(spec)
-        collected = runner.collect()
-        assert spec.spec_id in collected
-        rows = runner.summary_rows()
-        assert len(rows) == 1
-        assert rows[0]["protocol"] == "epidemic"
-        assert "success_rate" in rows[0]
-
-    def test_run_all(self, runner):
-        specs = [
-            RunSpec(
-                trace="infocom05", protocol="epidemic", seed=seed,
-                overrides=(("mean_interarrival", 120.0),),
-            )
-            for seed in (1, 2)
+class TestResume:
+    def test_rerun_is_served_from_the_cache(self, tmp_path):
+        cache = RunCache(tmp_path)
+        cold = sweep(cache)
+        assert cache.stats.writes == 4
+        report = RunReport()
+        warm = sweep(cache, report)
+        assert (report.executed, report.cached) == (0, 4)
+        assert [p.success_rate for _, p in warm] == [
+            p.success_rate for _, p in cold
         ]
-        out = runner.run_all(specs)
-        assert len(out) == 2
-        assert all(runner.is_done(s) for s in specs)
+
+    def test_deleted_entry_is_rerun(self, tmp_path):
+        cache = RunCache(tmp_path)
+        sweep(cache)
+        sorted(tmp_path.glob("*.json"))[0].unlink()
+        report = RunReport()
+        sweep(cache, report)
+        assert (report.executed, report.cached) == (1, 3)
 
 
 class TestCsvExport:
-    def test_summary_csv(self, tmp_path):
-        runner = SweepRunner(archive_dir=tmp_path, sweep="csv")
-        spec = RunSpec(
-            trace="infocom05", protocol="epidemic", seed=1,
-            overrides=(("mean_interarrival", 120.0),),
+    def test_summary_csv(self, capsys, tmp_path):
+        out = tmp_path / "summary.csv"
+        code = main(
+            [
+                "sweep",
+                "--trace", "infocom05",
+                "--protocol", "epidemic",
+                "--counts", "0,5",
+                "--seeds", "1",
+                "--archive", str(tmp_path / "archive"),
+                "--csv", str(out),
+            ]
         )
-        runner.run_one(spec)
-        out = tmp_path / "summary.csv"
-        written = runner.summary_csv(out)
-        assert written == 1
-        lines = out.read_text().splitlines()
-        assert lines[0].startswith("spec_id,protocol,trace,seed")
-        assert spec.spec_id in lines[1]
-
-    def test_empty_sweep_csv(self, tmp_path):
-        runner = SweepRunner(archive_dir=tmp_path, sweep="empty")
-        out = tmp_path / "summary.csv"
-        assert runner.summary_csv(out) == 0
-        assert out.read_text() == ""
+        assert code == 0
+        with out.open() as handle:
+            rows = list(csv.DictReader(handle))
+        assert [(r["count"], r["adversary"], r["seed"]) for r in rows] == [
+            ("0", "", "1"),
+            ("5", "dropper", "1"),
+        ]
+        assert all(r["protocol"] == "epidemic" for r in rows)
+        assert "success_rate" in rows[0]
+        assert "wrote 2 summary rows" in capsys.readouterr().out
