@@ -10,7 +10,7 @@ invalid at once, no staleness heuristics.  Per file it persists:
   runner filters ``--select`` afterwards, so one entry serves any
   selection), and
 * the :func:`~repro.analysis.project.module_facts` dict, which is all
-  the project rules (G2G008–G2G012) read.
+  the project rules (G2G008–G2G015) read.
 
 A warm run over an unchanged tree thus hashes files, loads JSON, and
 executes the project rules on cached facts — it never parses Python.

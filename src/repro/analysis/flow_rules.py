@@ -1,4 +1,4 @@
-"""Whole-program flow rules G2G008–G2G014.
+"""Whole-program flow rules G2G008–G2G015.
 
 Single-file rules catch a ``random.random()`` where it is written;
 these catch the cross-module shapes that poison replayability one hop
@@ -28,6 +28,9 @@ G2G013   streaming discipline: ``.contacts`` materialization outside
          must pull contacts through a ``ContactSource``
 G2G014   one construction site: ``Simulation(...)`` built outside
          ``sim/`` and the run builder in ``experiments/parallel.py``
+G2G015   unreached module: no import chain from an entry point (the
+         CLI, the facade, a ``__main__`` script, an example or a
+         benchmark) reaches it; package re-exports do not count
 =======  ==============================================================
 
 Each rule reads only :class:`~repro.analysis.project.ProjectModel`
@@ -37,7 +40,7 @@ without parsing a single file.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from .framework import Violation
 from .project import (
@@ -97,6 +100,11 @@ CONTACTS_OWNER_PACKAGE = "traces"
 #: itself and the one run builder every run path goes through.
 SIMULATION_OWNER_PACKAGE = "sim"
 RUN_BUILDER_REL = "experiments/parallel.py"
+
+#: Entry-point modules G2G015 walks the import graph from, besides
+#: every ``__main__``-guarded module and every linted file outside the
+#: package (examples, benchmarks).
+ENTRY_MODULES = frozenset({"repro.cli", "repro.api", "repro.__main__"})
 
 
 def _function_index(
@@ -517,3 +525,93 @@ class RunConstructionSite(ProjectRule):
                     " runs with repro.experiments.parallel.simulate",
                     column=col + 1,
                 )
+
+
+@register_project_rule
+class UnreachedModule(ProjectRule):
+    """G2G015: every module is imported, transitively, by an entry point.
+
+    Roots are ``repro.cli``, ``repro.api``, ``repro.__main__``, every
+    module with a top-level ``if __name__ == "__main__":`` and every
+    linted file outside the package.  Import edges are followed from
+    each reached module; importing a module also reaches its parent
+    packages, as Python runs their ``__init__``.  A package
+    ``__init__`` re-export (an import bound to a name in its
+    ``__all__``) is not a use: it is followed only when a reached module
+    imports that name from the package.  Code no entry point reaches
+    still costs tests, docs and run-cache invalidations, and nothing
+    would notice if it broke; delete it or wire it into a real path.
+    Lint the package together with its entry-point trees
+    (``repro lint src examples benchmarks --project``), or modules only
+    those trees use are flagged.
+    """
+
+    rule_id = "G2G015"
+    summary = (
+        "module not reached by imports from any entry point (cli, api,"
+        " __main__, a __main__-guarded module, examples, benchmarks)"
+    )
+
+    def _module_of(self, project: ProjectModel, target: str) -> Optional[str]:
+        """The project module an import target lands in, or None.
+
+        ``pkg.mod`` is the module itself; ``pkg.mod.name`` is ``pkg.mod``
+        unless ``pkg.mod`` imported ``name`` from elsewhere, in which case
+        the name's origin is followed (how a package re-export resolves).
+        """
+        seen: Set[str] = set()
+        while target not in seen:
+            seen.add(target)
+            if target in project.by_module:
+                return target
+            head, _, name = target.rpartition(".")
+            entry = project.by_module.get(head)
+            if entry is None:
+                return None
+            origin = entry["import_names"].get(name)
+            if origin is None:
+                return head
+            target = origin
+        return None
+
+    def check(self, project: ProjectModel) -> Iterator[Violation]:
+        work: List[str] = [
+            target for entry in project.outside for target, _ in entry["imports"]
+        ]
+        work.extend(
+            entry["module"]
+            for entry in project.modules
+            if entry["module"] in ENTRY_MODULES or entry["main_guard"]
+        )
+        reached: Set[str] = set()
+        while work:
+            module = self._module_of(project, work.pop())
+            if module is None:
+                continue
+            parts = module.split(".")
+            for depth in range(1, len(parts) + 1):
+                name = ".".join(parts[:depth])
+                entry = project.by_module.get(name)
+                if entry is None or name in reached:
+                    continue
+                reached.add(name)
+                skip = {tuple(edge) for edge in entry["reexports"]}
+                work.extend(
+                    target
+                    for target, line in entry["imports"]
+                    if (target, line) not in skip
+                )
+
+        for entry in project.modules:
+            if entry["module"] in reached or entry["rel"].endswith(
+                "__init__.py"
+            ):
+                continue
+            yield self.flag(
+                entry,
+                1,
+                f"{entry['module']} is not reached from any entry point"
+                " (cli, api, __main__, a __main__-guarded module, examples,"
+                " benchmarks); package re-exports do not count — delete it"
+                " or import it where it is used",
+            )

@@ -1,11 +1,11 @@
 """Whole-program model for the cross-module flow rules.
 
 The single-file rules (G2G001–G2G007) see one AST at a time; the flow
-rules (G2G008–G2G014, :mod:`repro.analysis.flow_rules`) reason about
+rules (G2G008–G2G015, :mod:`repro.analysis.flow_rules`) reason about
 the program: a seeded-RNG leak *through* a call chain, a counter
 declared in one module and incremented in another, an import edge that
-violates layering.  This module gives them a shared
-:class:`ProjectModel`:
+violates layering, a module no entry point imports.  This module gives
+them a shared :class:`ProjectModel`:
 
 * **Module facts.** :func:`module_facts` distills one parsed module
   into a plain-dict summary — resolved imports (relative imports
@@ -103,8 +103,28 @@ def _package_parts(rel: str, dotted: str) -> List[str]:
     return dotted.split(".")[:-1]
 
 
+def _from_target(
+    node: ast.ImportFrom, rel: Optional[str]
+) -> Optional[str]:
+    """Dotted module a ``from ... import`` statement reads from.
+
+    None when it cannot be resolved: a relative import beyond the
+    project root, or any relative import in a file outside the package
+    (``rel`` None).
+    """
+    if not node.level:
+        return node.module
+    if rel is None:
+        return None
+    base = _package_parts(rel, module_dotted_name(rel))
+    cut = len(base) - (node.level - 1)
+    if cut < 0:
+        return None  # beyond the project root; unresolvable
+    return ".".join(base[:cut] + (node.module.split(".") if node.module else []))
+
+
 def resolve_imports(
-    tree: ast.Module, rel: str
+    tree: ast.Module, rel: Optional[str]
 ) -> Tuple[List[Tuple[str, int]], Dict[str, str]]:
     """Resolved import edges and name bindings for one module.
 
@@ -114,9 +134,9 @@ def resolve_imports(
     are recorded, since the AST cannot tell a submodule from a name)
     and ``names`` maps local names to their dotted origins — the
     project-aware, relative-import-capable counterpart of the
-    single-file ``imported_origins`` helper.
+    single-file ``imported_origins`` helper.  ``rel`` None (a file
+    outside the package) resolves absolute imports only.
     """
-    dotted = module_dotted_name(rel)
     edges: List[Tuple[str, int]] = []
     names: Dict[str, str] = {}
     for node in ast.walk(tree):
@@ -126,20 +146,9 @@ def resolve_imports(
                 local = alias.asname or alias.name.split(".", 1)[0]
                 names[local] = alias.name if alias.asname else local
         elif isinstance(node, ast.ImportFrom):
-            if node.level:
-                base = _package_parts(rel, dotted)
-                cut = len(base) - (node.level - 1)
-                if cut < 0:
-                    continue  # beyond the project root; unresolvable
-                base = base[:cut]
-                target_parts = base + (
-                    node.module.split(".") if node.module else []
-                )
-                target = ".".join(target_parts)
-            else:
-                if node.module is None:
-                    continue
-                target = node.module
+            target = _from_target(node, rel)
+            if target is None:
+                continue
             edges.append((target, node.lineno))
             for alias in node.names:
                 if alias.name == "*":
@@ -240,6 +249,56 @@ def _counter_decls(tree: ast.Module) -> Optional[Dict[str, Any]]:
                     decls["hot_map"] = hot
                     decls["hot_line"] = node.lineno
     return decls or None
+
+
+def _reexport_edges(
+    tree: ast.Module, rel: str, exported: Sequence[str]
+) -> List[Tuple[str, int]]:
+    """Import edges of a package ``__init__`` that only re-export.
+
+    An imported name bound to a name in ``__all__`` is a re-export:
+    the package hands it on, it does not use it.  A statement's module
+    edge is a re-export when every name it binds is; a side-effect
+    import bound to a private name (``from . import rules as _rules``)
+    stays a use.
+    """
+    public = set(exported)
+    edges: List[Tuple[str, int]] = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            target = _from_target(node, rel)
+            if target is None:
+                continue
+            names = [alias for alias in node.names if alias.name != "*"]
+            passed = [
+                alias for alias in names
+                if (alias.asname or alias.name) in public
+            ]
+            edges.extend(
+                (f"{target}.{alias.name}", node.lineno) for alias in passed
+            )
+            if names and len(passed) == len(names):
+                edges.append((target, node.lineno))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if (alias.asname or alias.name.split(".", 1)[0]) in public:
+                    edges.append((alias.name, node.lineno))
+    return edges
+
+
+def _has_main_guard(tree: ast.Module) -> bool:
+    """Whether the module runs code under ``if __name__ == "__main__":``."""
+    for node in tree.body:
+        test = node.test if isinstance(node, ast.If) else None
+        if (
+            isinstance(test, ast.Compare)
+            and len(test.comparators) == 1
+            and isinstance(test.ops[0], ast.Eq)
+        ):
+            operands = {ast.unparse(test.left), ast.unparse(test.comparators[0])}
+            if operands == {"__name__", "'__main__'"}:
+                return True
+    return False
 
 
 def _is_event_like(node: ast.AST) -> bool:
@@ -349,15 +408,17 @@ class _FactsVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def module_facts(module: LintModule) -> Optional[Dict[str, Any]]:
+def module_facts(module: LintModule) -> Dict[str, Any]:
     """Distill one parsed module into its JSON-serializable facts.
 
-    Returns None for files outside a ``repro`` package root — the flow
-    rules scope on package-relative paths, so such files contribute
-    nothing to the project model.
+    A file outside a ``repro`` package root (an example, a benchmark)
+    gets only its path and absolute import edges, with ``rel`` None:
+    the flow rules scope on package-relative paths, and such a file
+    matters to the model only as an entry point (G2G015).
     """
     if module.rel is None:
-        return None
+        edges, _ = resolve_imports(module.tree, None)
+        return {"rel": None, "path": module.path, "imports": edges}
     dotted = module_dotted_name(module.rel)
     edges, names = resolve_imports(module.tree, module.rel)
     visitor = _FactsVisitor(names, dotted)
@@ -435,6 +496,12 @@ def module_facts(module: LintModule) -> Optional[Dict[str, Any]]:
         "imports": edges,
         "import_names": names,
         "dunder_all": dunder_all,
+        "reexports": (
+            _reexport_edges(module.tree, module.rel, dunder_all)
+            if dunder_all and module.rel.endswith("__init__.py")
+            else []
+        ),
+        "main_guard": _has_main_guard(module.tree),
         "public_defs": public_defs,
         "functions": visitor.functions,
         "top_level_functions": visitor.top_level_functions,
@@ -456,11 +523,17 @@ class ProjectModel:
             first module seen for a given package-relative path wins;
             later duplicates (two source trees linted at once) are
             ignored for indexing but still checked by single-file
-            rules upstream.
+            rules upstream.  Files outside the package are kept apart
+            in :attr:`outside`; only G2G015 reads them.
     """
 
     def __init__(self, facts: Sequence[Dict[str, Any]]) -> None:
-        self.modules: List[Dict[str, Any]] = list(facts)
+        self.modules: List[Dict[str, Any]] = [
+            entry for entry in facts if entry["rel"] is not None
+        ]
+        self.outside: List[Dict[str, Any]] = [
+            entry for entry in facts if entry["rel"] is None
+        ]
         self.by_rel: Dict[str, Dict[str, Any]] = {}
         self.by_module: Dict[str, Dict[str, Any]] = {}
         self.by_path: Dict[str, Dict[str, Any]] = {}
@@ -474,12 +547,10 @@ class ProjectModel:
         cls, sources: Sequence[Tuple[str, str]]
     ) -> "ProjectModel":
         """Build a model from ``(path, source)`` pairs (test helper)."""
-        facts = []
-        for path, source in sources:
-            fact = module_facts(LintModule.from_source(source, path))
-            if fact is not None:
-                facts.append(fact)
-        return cls(facts)
+        return cls([
+            module_facts(LintModule.from_source(source, path))
+            for path, source in sources
+        ])
 
     # -- call graph -----------------------------------------------------
 

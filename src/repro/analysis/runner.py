@@ -18,7 +18,7 @@ production entry point layering on top of it:
   worker count because everything is re-sorted afterwards.
 * **Project mode.**  ``project=True`` assembles the per-file facts
   into a :class:`~repro.analysis.project.ProjectModel` and runs the
-  whole-program rules G2G008–G2G012 on it.
+  whole-program rules G2G008–G2G015 on it.
 """
 
 from __future__ import annotations
@@ -208,7 +208,7 @@ def lint_tree(
         select: rule ids to run (single-file and/or project); None
             means every registered rule (project ones only when
             ``project=True``).
-        project: also run the whole-program rules G2G008–G2G012.
+        project: also run the whole-program rules G2G008–G2G015.
         jobs: process-pool width for uncached files (1 = in-process).
         cache_dir: directory for the incremental cache; None disables
             caching entirely (no hidden writes).

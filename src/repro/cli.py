@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--project", action="store_true",
-        help="also run the whole-program flow rules (G2G008-G2G014)",
+        help="also run the whole-program flow rules (G2G008-G2G015)",
     )
     lint.add_argument(
         "--format", default="text", choices=["text", "json", "sarif"],

@@ -22,10 +22,7 @@ from .proofs import (
 from .wire import (
     ProofOfRelay,
     QualityDeclaration,
-    RelayAccept,
-    RelayRequest,
     SealedMessage,
-    StorageChallenge,
     StorageProof,
 )
 
@@ -39,11 +36,8 @@ __all__ = [
     "ProofOfMisbehavior",
     "ProofOfRelay",
     "QualityDeclaration",
-    "RelayAccept",
     "RelayPlan",
-    "RelayRequest",
     "SealedMessage",
-    "StorageChallenge",
     "StorageProof",
     "make_proof_of_relay",
     "make_quality_declaration",

@@ -500,15 +500,6 @@ class Give2GetBase(ForwardingProtocol):
                 "was forged, which the simulation's threat model forbids"
             )
 
-    def _fanout_cap(self, giver: NodeState, copy: StoredCopy) -> float:
-        """Relay cap for this holder: give-2 for relays, wider for the
-        source ("the first two (at least) nodes it meets")."""
-        config = self.ctx.config
-        if copy.message.source == giver.node_id:
-            cap = config.source_fanout
-            return float("inf") if cap is None else cap
-        return config.relay_fanout
-
     def _relay_one(
         self,
         giver: NodeState,

@@ -1,7 +1,12 @@
 """Wire-level artifacts of the Give2Get protocols.
 
-Canonical byte encodings of every signed control message in Fig. 1,
-Fig. 2, and Fig. 6 of the paper, plus the sealed application message.
+Canonical byte encodings of the signed artifacts of Fig. 1, Fig. 2,
+and Fig. 6 of the paper that the protocols keep as evidence (proof of
+relay, storage proof, quality declaration), plus the sealed application
+message.  The handshake requests of those figures (``RELAY_RQST``,
+``RELAY_OK``, ``POR_RQST``) carry nothing the protocols keep and have
+no artifact; energy accounting charges control traffic at the nominal
+sizes at the end of this module.
 Each artifact exposes a ``payload()`` encoding that is what actually
 gets signed/verified — distinct kind tags prevent any artifact signed
 in one role from being replayed in another.
@@ -103,47 +108,6 @@ class SealedMessage:
 
 @mypyc_attr(native_class=False)
 @dataclass(frozen=True)
-class RelayRequest:
-    """Step 1 / step 8: ``<RELAY_RQST, H(m)>_A`` (+ D' for delegation)."""
-
-    msg_hash: bytes
-    sender: NodeId
-    quality_subject: Optional[NodeId] = None  # D' in Fig. 6
-    signature: bytes = b""
-
-    def payload(self) -> bytes:
-        """Bytes covered by the signature."""
-        cached = self.__dict__.get("_payload")
-        if cached is not None:
-            COUNTERS.encoding_cache_hits += 1
-            return cached
-        return _memoized(self, "_payload", _enc(
-            b"RELAY_RQST", self.msg_hash, self.sender, self.quality_subject
-        ))
-
-
-@mypyc_attr(native_class=False)
-@dataclass(frozen=True)
-class RelayAccept:
-    """Step 2: ``<RELAY_OK, H(m)>_B``."""
-
-    msg_hash: bytes
-    relay: NodeId
-    signature: bytes = b""
-
-    def payload(self) -> bytes:
-        """Bytes covered by the signature."""
-        cached = self.__dict__.get("_payload")
-        if cached is not None:
-            COUNTERS.encoding_cache_hits += 1
-            return cached
-        return _memoized(self, "_payload", _enc(
-            b"RELAY_OK", self.msg_hash, self.relay
-        ))
-
-
-@mypyc_attr(native_class=False)
-@dataclass(frozen=True)
 class QualityDeclaration:
     """Step 9: ``<FQ_RESP, B, D', f_BD>_B`` with its timeframe index.
 
@@ -217,27 +181,6 @@ class ProofOfRelay:
 
 @mypyc_attr(native_class=False)
 @dataclass(frozen=True)
-class StorageChallenge:
-    """Step 6: ``<POR_RQST, H(m), s>_A`` — the test-phase opener."""
-
-    msg_hash: bytes
-    challenger: NodeId
-    seed: bytes
-    signature: bytes = b""
-
-    def payload(self) -> bytes:
-        """Bytes covered by the signature."""
-        cached = self.__dict__.get("_payload")
-        if cached is not None:
-            COUNTERS.encoding_cache_hits += 1
-            return cached
-        return _memoized(self, "_payload", _enc(
-            b"POR_RQST", self.msg_hash, self.challenger, self.seed
-        ))
-
-
-@mypyc_attr(native_class=False)
-@dataclass(frozen=True)
 class StorageProof:
     """Step 7 (second branch): ``<STORED, H(m), s, HMAC(m, s)>_B``."""
 
@@ -256,17 +199,6 @@ class StorageProof:
         return _memoized(self, "_payload", _enc(
             b"STORED", self.msg_hash, self.prover, self.seed, self.mac
         ))
-
-
-def seed_payload_cache(signed: object, payload: bytes) -> None:
-    """Transfer a computed ``payload()`` onto a just-signed artifact.
-
-    The signature field is excluded from every ``payload()`` encoding,
-    so the payload of the unsigned template is byte-identical to the
-    signed artifact's — signing then costs exactly one encoding, and
-    every later verification is a cache hit.
-    """
-    object.__setattr__(signed, "_payload", payload)
 
 
 #: Nominal wire sizes (bytes) for energy accounting of control traffic.

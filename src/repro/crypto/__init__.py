@@ -14,7 +14,6 @@ all of it from scratch:
 * :mod:`repro.crypto.provider` — real vs fast simulated providers.
 * :mod:`repro.crypto.accounting` — the accounting-only provider tier.
 * :mod:`repro.crypto.tiers` — the name -> provider tier registry.
-* :mod:`repro.crypto.session` — pairwise authenticated sessions.
 """
 
 from .accounting import AccountingCryptoProvider
@@ -34,13 +33,7 @@ from .provider import (
 )
 from .rsa import RsaPrivateKey, RsaPublicKey, generate_keypair
 from .tiers import PROVIDER_TIERS, TIER_NAMES, make_provider
-from .schnorr import (
-    SchnorrCryptoProvider,
-    SchnorrError,
-    SchnorrScheme,
-)
-from .session import Session, SessionBroker, SessionError
-from .symmetric import AuthenticationError, SymmetricChannel
+from .symmetric import AuthenticationError
 
 __all__ = [
     "AccountingCryptoProvider",
@@ -57,14 +50,7 @@ __all__ = [
     "RealCryptoProvider",
     "RsaPrivateKey",
     "RsaPublicKey",
-    "SchnorrCryptoProvider",
-    "SchnorrError",
-    "SchnorrScheme",
-    "Session",
-    "SessionBroker",
-    "SessionError",
     "SimulatedCryptoProvider",
-    "SymmetricChannel",
     "TIER_NAMES",
     "default_group",
     "digest",

@@ -17,7 +17,7 @@ the primitives are computed:
   the substitution documented in DESIGN.md §3.
 
 Both satisfy the :class:`CryptoProvider` interface consumed by
-:mod:`repro.crypto.keys` and :mod:`repro.crypto.session`.
+:mod:`repro.crypto.keys`.
 """
 
 from __future__ import annotations

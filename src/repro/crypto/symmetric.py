@@ -15,7 +15,6 @@ is revealed only after the Proof of Relay is signed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .hashing import DIGEST_SIZE, constant_time_equal, digest, hmac_digest
 
@@ -76,25 +75,3 @@ def decrypt(key: bytes, blob: bytes) -> bytes:
     stream = _keystream(key, nonce, len(ciphertext))
     return bytes(a ^ b for a, b in zip(ciphertext, stream))
 
-
-@dataclass
-class SymmetricChannel:
-    """A bidirectional encrypted channel bound to one session key.
-
-    Thin convenience wrapper so protocol code reads naturally::
-
-        channel = SymmetricChannel(session_key, rng)
-        wire_bytes = channel.seal(payload)
-        payload = channel.open(wire_bytes)
-    """
-
-    key: bytes
-    rng: random.Random
-
-    def seal(self, plaintext: bytes) -> bytes:
-        """Encrypt and authenticate ``plaintext``."""
-        return encrypt(self.key, plaintext, self.rng)
-
-    def open(self, blob: bytes) -> bytes:
-        """Decrypt and verify ``blob``; raises on tampering."""
-        return decrypt(self.key, blob)

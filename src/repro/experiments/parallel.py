@@ -138,41 +138,52 @@ class RunRequest:
     def roles(self) -> Dict[str, Tuple[int, ...]]:
         """Adversary class -> member nodes, recomputed deterministically.
 
-        Mix requests replay the placement shuffle of
-        :func:`repro.adversaries.mixed_population`; single-deviation
-        requests report their ``misbehaving()`` set under the deviation
-        kind.  All-honest runs return an empty map.
+        The placement :func:`simulate` plants for this request, from the
+        same :func:`place_adversaries` call over the evaluation trace and
+        its community.  All-honest runs return an empty map.
         """
-        if self.mix:
-            trace = evaluation_trace(self.trace_name)
-            _, roles = mixed_population(
-                trace.nodes, dict(self.mix), seed=self.seed
-            )
-            return roles
-        if self.deviation is not None and self.deviation_count > 0:
-            return {self.deviation: self.misbehaving()}
-        return {}
+        if not self.mix and (self.deviation is None or self.deviation_count <= 0):
+            return {}
+        _, roles = place_adversaries(
+            evaluation_trace(self.trace_name).nodes,
+            self.seed,
+            community=evaluation_community(self.trace_name),
+            deviation=self.deviation,
+            deviation_count=self.deviation_count,
+            mix=dict(self.mix) if self.mix else None,
+        )
+        return roles
 
     def misbehaving(self) -> Tuple[int, ...]:
         """The deterministic set of deviating nodes for this run."""
-        if self.mix:
-            members: List[int] = []
-            for nodes in self.roles().values():
-                members.extend(nodes)
-            return tuple(sorted(members))
-        if self.deviation is None or self.deviation_count <= 0:
-            return ()
-        trace = evaluation_trace(self.trace_name)
-        community = evaluation_community(self.trace_name)
-        _, misbehaving = strategy_population(
-            trace.nodes,
-            self.deviation,
-            self.deviation_count,
-            seed=self.seed,
-            community=community,
-        )
-        return misbehaving
+        return tuple(sorted(
+            node for nodes in self.roles().values() for node in nodes
+        ))
 
+
+def place_adversaries(
+    universe: Sequence[NodeId],
+    seed: int,
+    *,
+    community: Optional[CommunityOracle] = None,
+    deviation: Optional[str] = None,
+    deviation_count: int = 0,
+    mix: Optional[Mapping[str, float]] = None,
+) -> Tuple[Optional[Dict[NodeId, Strategy]], Dict[str, Tuple[NodeId, ...]]]:
+    """Strategies and adversary roles for one run's placement input.
+
+    A ``mix`` of kind -> fraction, or ``deviation_count`` nodes of kind
+    ``deviation``, placed over ``universe`` by ``seed``.  Returns
+    ``(strategies, roles)``; ``(None, {})`` when nothing deviates.
+    """
+    if mix is not None:
+        return mixed_population(universe, mix, seed=seed, community=community)
+    if deviation is not None and deviation_count > 0:
+        strategies, misbehaving = strategy_population(
+            universe, deviation, deviation_count, seed=seed, community=community
+        )
+        return strategies, {deviation: misbehaving}
+    return None, {}
 
 def simulate(
     source: Union[ContactTrace, ContactSource],
@@ -200,13 +211,14 @@ def simulate(
         raise ValueError("pass at most one of strategies, deviation or mix")
     source = ensure_contact_source(source, "simulate")
     universe = source.universe
-    if mix is not None:
-        strategies, _ = mixed_population(
-            universe, dict(mix), seed=config.seed, community=community
-        )
-    elif deviation is not None and deviation_count > 0:
-        strategies, _ = strategy_population(
-            universe, deviation, deviation_count, seed=config.seed, community=community
+    if strategies is None:
+        strategies, _ = place_adversaries(
+            universe,
+            config.seed,
+            community=community,
+            deviation=deviation,
+            deviation_count=deviation_count,
+            mix=mix,
         )
     churn_events = None
     energy_budgets = None

@@ -15,7 +15,7 @@ forwarding/testing/blacklisting logic lives in the protocol classes.
 Ingestion goes through :class:`repro.traces.stream.ContactSource`: an
 in-memory :class:`~repro.traces.trace.ContactTrace` is wrapped in the
 bit-identical ``InMemorySource`` compatibility path, while streaming
-sources (synthetic mega-traces, chunked files) are fed incrementally
+sources (synthetic mega-traces) are fed incrementally
 into the event heap and get their :class:`NodeState` instantiated
 lazily on first appearance — the engine's memory footprint follows the
 set of *touched* nodes and in-flight events, not the trace size.

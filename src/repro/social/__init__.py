@@ -1,11 +1,5 @@
-"""Social structure layer: contact graphs, communities, centrality."""
+"""Social structure layer: contact graphs and communities."""
 
-from .centrality import (
-    betweenness_centrality,
-    closeness_centrality,
-    degree_centrality,
-    rank_nodes,
-)
 from .communities import (
     CommunityMap,
     bron_kerbosch_maximal_cliques,
@@ -13,19 +7,13 @@ from .communities import (
 )
 from .graph import (
     ContactGraph,
-    connected_components,
     top_quantile_graph,
 )
 
 __all__ = [
     "CommunityMap",
     "ContactGraph",
-    "betweenness_centrality",
     "bron_kerbosch_maximal_cliques",
-    "closeness_centrality",
-    "connected_components",
-    "degree_centrality",
     "k_clique_communities",
-    "rank_nodes",
     "top_quantile_graph",
 ]

@@ -16,9 +16,8 @@ unchanged; the shipped experiments use the synthetic stand-ins from
 from __future__ import annotations
 
 import io as _io
-import struct
 from pathlib import Path
-from typing import Iterable, Iterator, List, Sequence, Union
+from typing import List, Union
 
 from .trace import Contact, ContactTrace, make_contact
 
@@ -84,8 +83,9 @@ def load_trace(
 def dump_trace(trace: ContactTrace) -> str:
     """Serialize a trace to the four-column text format.
 
-    Nodes without contacts are recorded in a header comment so the node
-    universe survives a round-trip.
+    The node universe is listed in a header comment for readers;
+    :func:`parse_trace` takes nodes from the contact rows only, so a
+    node without contacts does not survive a round trip.
     """
     lines = [
         f"# trace: {trace.name}",
@@ -105,141 +105,3 @@ def save_trace(trace: ContactTrace, path: PathLike) -> None:
     """Write a trace to disk in the text format."""
     Path(path).write_text(dump_trace(trace))
 
-
-def parse_node_header(text: str) -> Iterable[int]:
-    """Extract the ``# nodes:`` header written by :func:`dump_trace`."""
-    for raw in _io.StringIO(text):
-        line = raw.strip()
-        if line.startswith("# nodes:"):
-            return [int(tok) for tok in line[len("# nodes:") :].split()]
-    return []
-
-
-def load_trace_with_universe(path: PathLike, name: str | None = None) -> ContactTrace:
-    """Load a trace, restoring contact-less nodes from the header."""
-    path = Path(path)
-    text = path.read_text()
-    trace = parse_trace(text, name=name if name is not None else path.stem)
-    header_nodes = set(parse_node_header(text))
-    if header_nodes:
-        return ContactTrace(
-            name=trace.name,
-            nodes=tuple(header_nodes | set(trace.nodes)),
-            contacts=trace.contacts,
-        )
-    return trace
-
-
-# ---------------------------------------------------------------------------
-# Chunked binary spill format (streaming sources)
-# ---------------------------------------------------------------------------
-#
-# The text format above is fine for 41-node traces; a 100k-node stream
-# needs something a file-backed source can replay chunk by chunk
-# without parsing floats.  Layout (all little-endian):
-#
-#   header:  magic b"G2GC" | u16 version | u8 universe_kind
-#            kind 0 (dense range):  i64 start | i64 stop
-#            kind 1 (explicit ids): u32 count | count * i64
-#   chunks:  u32 record_count | record_count * <ddqq>  (start, end, a, b)
-#            ... repeated until EOF
-#
-# Chunks preserve the writer's chunking, so a replayed stream has the
-# same chunk boundaries (and stream_chunks counter values) it was
-# written with.
-
-CHUNK_MAGIC = b"G2GC"
-CHUNK_VERSION = 1
-_RECORD = struct.Struct("<ddqq")
-_HEADER = struct.Struct("<4sHB")
-_U32 = struct.Struct("<I")
-_I64 = struct.Struct("<q")
-
-
-def _read_exact(handle: _io.BufferedReader, size: int, what: str) -> bytes:
-    data = handle.read(size)
-    if len(data) != size:
-        raise TraceFormatError(f"truncated chunked trace: short {what}")
-    return data
-
-
-def _write_universe(handle: _io.BufferedWriter, universe: Sequence[int]) -> None:
-    if isinstance(universe, range) and universe.step == 1:
-        handle.write(_HEADER.pack(CHUNK_MAGIC, CHUNK_VERSION, 0))
-        handle.write(_I64.pack(universe.start))
-        handle.write(_I64.pack(universe.stop))
-        return
-    nodes = list(universe)
-    handle.write(_HEADER.pack(CHUNK_MAGIC, CHUNK_VERSION, 1))
-    handle.write(_U32.pack(len(nodes)))
-    for node in nodes:
-        handle.write(_I64.pack(node))
-
-
-def _read_universe(handle: _io.BufferedReader) -> Sequence[int]:
-    magic, version, kind = _HEADER.unpack(
-        _read_exact(handle, _HEADER.size, "header")
-    )
-    if magic != CHUNK_MAGIC:
-        raise TraceFormatError("not a chunked trace (bad magic)")
-    if version != CHUNK_VERSION:
-        raise TraceFormatError(f"unsupported chunked trace version {version}")
-    if kind == 0:
-        (start,) = _I64.unpack(_read_exact(handle, _I64.size, "universe"))
-        (stop,) = _I64.unpack(_read_exact(handle, _I64.size, "universe"))
-        return range(start, stop)
-    if kind == 1:
-        (count,) = _U32.unpack(_read_exact(handle, _U32.size, "universe"))
-        return [
-            _I64.unpack(_read_exact(handle, _I64.size, "universe"))[0]
-            for _ in range(count)
-        ]
-    raise TraceFormatError(f"unknown universe kind {kind}")
-
-
-def write_chunked_contacts(
-    path: PathLike,
-    universe: Sequence[int],
-    chunks: Iterable[Sequence[Contact]],
-) -> int:
-    """Write a chunked stream to disk; returns total contacts written."""
-    total = 0
-    with open(Path(path), "wb") as handle:
-        _write_universe(handle, universe)
-        for chunk in chunks:
-            if not chunk:
-                continue
-            handle.write(_U32.pack(len(chunk)))
-            for contact in chunk:
-                handle.write(
-                    _RECORD.pack(contact.start, contact.end, contact.a, contact.b)
-                )
-            total += len(chunk)
-    return total
-
-
-def read_chunked_universe(path: PathLike) -> Sequence[int]:
-    """Read only the node universe from a chunked trace file."""
-    with open(Path(path), "rb") as handle:
-        return _read_universe(handle)
-
-
-def iter_chunked_contacts(path: PathLike) -> Iterator[List[Contact]]:
-    """Replay the chunks of a chunked trace file, one list at a time."""
-    with open(Path(path), "rb") as handle:
-        _read_universe(handle)
-        while True:
-            header = handle.read(_U32.size)
-            if not header:
-                return
-            if len(header) != _U32.size:
-                raise TraceFormatError("truncated chunked trace: short count")
-            (count,) = _U32.unpack(header)
-            payload = _read_exact(
-                handle, count * _RECORD.size, f"chunk of {count} records"
-            )
-            chunk: List[Contact] = []
-            for offset in range(0, len(payload), _RECORD.size):
-                start, end, a, b = _RECORD.unpack_from(payload, offset)
-                chunk.append(Contact(start=start, end=end, a=a, b=b))
-            yield chunk

@@ -15,8 +15,6 @@ iterator with a declared node universe:
   in parent districts by plain id arithmetic) and power-law per-node
   contact rates, generated lazily chunk by chunk from per-chunk seeded
   RNG streams.  Memory is O(chunk), never O(trace).
-* :class:`ChunkedFileSource` replays the packed binary spill format
-  written by :func:`repro.traces.io.write_chunked_contacts`.
 
 The engine (``sim.engine``) pulls contacts through
 :meth:`ContactSource.iter_contacts` into the event heap via the
@@ -37,7 +35,7 @@ from .trace import Contact, ContactTrace, NodeId
 
 #: A cache-key-friendly description of a source: sorted (field, value)
 #: pairs, hashable and JSON-serializable.  ``None`` marks a source that
-#: cannot be reconstructed from a spec (ad-hoc traces, open files).
+#: cannot be reconstructed from a spec (ad-hoc traces).
 SourceSpec = Tuple[Tuple[str, Union[int, float, str]], ...]
 
 
@@ -275,37 +273,6 @@ class SyntheticStreamSource(ContactSource):
             nodes=tuple(range(self.config.nodes)),
             contacts=tuple(contacts),
         )
-
-
-class ChunkedFileSource(ContactSource):
-    """Replay of the packed chunked format under ``traces/io``."""
-
-    def __init__(self, path: str, name: Optional[str] = None) -> None:
-        from .io import read_chunked_universe
-
-        self.path = path
-        self.name = name if name is not None else _stem(path)
-        self._universe = read_chunked_universe(path)
-
-    @property
-    def universe(self) -> Sequence[NodeId]:
-        return self._universe
-
-    def spec(self) -> None:
-        # File contents are not captured by a (path, mtime) pair in any
-        # way the run cache could trust, so file-backed runs are
-        # uncached — same policy as ad-hoc in-memory traces.
-        return None
-
-    def iter_chunks(self) -> Iterator[List[Contact]]:
-        from .io import iter_chunked_contacts
-
-        return iter_chunked_contacts(self.path)
-
-
-def _stem(path: str) -> str:
-    base = path.replace("\\", "/").rsplit("/", 1)[-1]
-    return base.rsplit(".", 1)[0] if "." in base else base
 
 
 def source_from_spec(spec: SourceSpec) -> ContactSource:

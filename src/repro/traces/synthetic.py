@@ -281,25 +281,3 @@ def _align_to_activity(
         else:
             t = day_start + DAY + windows[0].start_s + rng.uniform(0, 600)
     return t
-
-
-def expected_pair_rates(
-    config: CommunityModelConfig, assignment: CommunityAssignment
-) -> Dict[Tuple[NodeId, NodeId], float]:
-    """Analytic pair rates for a generated assignment (for tests)."""
-    travelers = set(assignment.travelers)
-    rates: Dict[Tuple[NodeId, NodeId], float] = {}
-    nodes = sorted(assignment.community_of)
-    for i in nodes:
-        for j in nodes:
-            if j <= i:
-                continue
-            rates[(i, j)] = _pair_rate(
-                i,
-                j,
-                config,
-                assignment.community_of,
-                assignment.sociability,
-                travelers,
-            )
-    return rates

@@ -1,9 +1,10 @@
-"""Tests for the whole-program analysis layer (G2G008–G2G014).
+"""Tests for the whole-program analysis layer (G2G008–G2G015).
 
 Each project rule has one violating and one clean fixture mini-tree
 under ``tests/fixtures/project/<case>/repro/``; the shipped source
-tree itself must pass ``lint --project`` with zero findings (pragmas
-carry the justified exceptions) — that self-check is this PR's
+tree, linted with its entry-point trees (``src examples benchmarks``),
+must pass ``lint --project`` with zero findings (pragmas carry the
+justified exceptions) — that self-check is this PR's
 standing acceptance gate, mirroring the single-file one.
 """
 
@@ -45,6 +46,10 @@ EXPECTED_BAD = {
     ],
     "G2G013": [("repro/sim/engine.py", 6)],
     "G2G014": [("repro/experiments/payoff.py", 7)],
+    "G2G015": [
+        ("repro/orphan.py", 1),
+        ("repro/pkg/reexported.py", 1),
+    ],
 }
 
 
@@ -95,7 +100,10 @@ class TestRuleFixtures:
 
 class TestSelfCheck:
     def test_shipped_tree_passes_project_lint(self):
-        run = lint_tree([REPO_ROOT / "src"], project=True)
+        run = lint_tree(
+            [REPO_ROOT / d for d in ("src", "examples", "benchmarks")],
+            project=True,
+        )
         assert run.violations == [], render_report(run.violations)
 
     def test_real_counter_schema_is_parsed(self):
@@ -141,6 +149,16 @@ class TestProjectModel:
         assert names["events"] == "repro.sim.events"
         assert names["Scheduler"] == "repro.sim.events.Scheduler"
         assert names["COUNTERS"] == "repro.perf.counters.COUNTERS"
+
+    def test_outside_file_keeps_only_absolute_imports(self):
+        facts = module_facts(LintModule.from_source(
+            "from repro.api import run\nfrom .conftest import helper\n",
+            "examples/demo.py",
+        ))
+        assert facts["rel"] is None
+        assert [t for t, _ in facts["imports"]] == [
+            "repro.api", "repro.api.run",
+        ]
 
     def test_resolve_imports_beyond_root_is_skipped(self):
         import ast
@@ -339,3 +357,67 @@ class TestRuleDetails:
         assert [(v.path, v.line) for v in violations] == [
             ("t/repro/api.py", 4)
         ]
+
+    def _unreached(self, sources):
+        return sorted(
+            v.path for v in self._check(sources, "G2G015")
+        )
+
+    @pytest.mark.parametrize("root", ["cli", "api", "__main__"])
+    def test_g2g015_entry_modules_are_roots(self, root):
+        assert self._unreached([
+            (f"t/repro/{root}.py", "from .sim import engine\n"),
+            ("t/repro/sim/engine.py", "from . import events\n"),
+            ("t/repro/sim/events.py", "X = 1\n"),
+            ("t/repro/sim/orphan.py", "Y = 2\n"),
+        ]) == ["t/repro/sim/orphan.py"]
+
+    def test_g2g015_main_guarded_module_is_a_root(self):
+        script = (
+            "from ..sim.engine import run\n\n"
+            "if __name__ == '__main__':\n"
+            "    run()\n"
+        )
+        sources = [
+            ("t/repro/perf/script.py", script),
+            ("t/repro/sim/engine.py", "def run():\n    return 1\n"),
+        ]
+        assert self._unreached(sources) == []
+        unguarded = script.replace("__main__", "repro")
+        assert self._unreached([(sources[0][0], unguarded), sources[1]]) == [
+            "t/repro/perf/script.py",
+            "t/repro/sim/engine.py",
+        ]
+
+    def test_g2g015_outside_file_is_a_root(self):
+        assert self._unreached([
+            ("t/examples/demo.py", "from repro.sim.engine import run\n"),
+            ("t/repro/sim/engine.py", "def run():\n    return 1\n"),
+        ]) == []
+
+    def test_g2g015_all_reexport_is_not_use(self):
+        package = 'from .engine import run\n\n__all__ = ["run"]\n'
+        assert self._unreached([
+            ("t/repro/cli.py", "from . import sim\n"),
+            ("t/repro/sim/__init__.py", package),
+            ("t/repro/sim/engine.py", "def run():\n    return 1\n"),
+        ]) == ["t/repro/sim/engine.py"]
+        # Importing the re-exported name through the package is a use.
+        assert self._unreached([
+            ("t/repro/cli.py", "from .sim import run\n"),
+            ("t/repro/sim/__init__.py", package),
+            ("t/repro/sim/engine.py", "def run():\n    return 1\n"),
+        ]) == []
+
+    def test_g2g015_private_side_effect_import_is_use(self):
+        package = (
+            "from .engine import run\n"
+            "from . import rules as _rules\n\n"
+            '__all__ = ["run"]\n'
+        )
+        assert self._unreached([
+            ("t/repro/cli.py", "from .sim import run\n"),
+            ("t/repro/sim/__init__.py", package),
+            ("t/repro/sim/engine.py", "def run():\n    return 1\n"),
+            ("t/repro/sim/rules.py", "RULES = []\n"),
+        ]) == []

@@ -3,10 +3,7 @@
 from repro.core.wire import (
     ProofOfRelay,
     QualityDeclaration,
-    RelayAccept,
-    RelayRequest,
     SealedMessage,
-    StorageChallenge,
     StorageProof,
 )
 
@@ -17,10 +14,7 @@ class TestPayloadDomainSeparation:
     def test_all_payloads_distinct(self):
         h = b"\x01" * 32
         artifacts = [
-            RelayRequest(msg_hash=h, sender=1),
-            RelayAccept(msg_hash=h, relay=1),
             ProofOfRelay(msg_hash=h, giver=1, taker=1),
-            StorageChallenge(msg_hash=h, challenger=1, seed=b"s"),
             StorageProof(msg_hash=h, prover=1, seed=b"s", mac=b"m"),
             QualityDeclaration(
                 declarant=1, destination=1, value=0.0, frame=0,

@@ -8,15 +8,12 @@ from repro.crypto.provider import (
     RealCryptoProvider,
     SimulatedCryptoProvider,
 )
-from repro.crypto.schnorr import SchnorrCryptoProvider
 
 
-@pytest.fixture(params=["simulated", "real", "schnorr"])
+@pytest.fixture(params=["simulated", "real"])
 def any_provider(request):
     if request.param == "simulated":
         return SimulatedCryptoProvider(random.Random(1))
-    if request.param == "schnorr":
-        return SchnorrCryptoProvider(random.Random(1))
     return RealCryptoProvider(key_bits=384, rng=random.Random(1))
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.crypto.symmetric import (
     AuthenticationError,
     NONCE_SIZE,
-    SymmetricChannel,
     TAG_SIZE,
     decrypt,
     encrypt,
@@ -71,21 +70,3 @@ class TestEncryptDecrypt:
         blob = encrypt(key, data, random.Random(5))
         assert decrypt(key, blob) == data
 
-
-class TestChannel:
-    def test_seal_open(self, key):
-        channel = SymmetricChannel(key=key, rng=random.Random(3))
-        assert channel.open(channel.seal(b"wire data")) == b"wire data"
-
-    def test_cross_channel_same_key(self, key):
-        a = SymmetricChannel(key=key, rng=random.Random(3))
-        b = SymmetricChannel(key=key, rng=random.Random(4))
-        assert b.open(a.seal(b"hello")) == b"hello"
-
-    def test_cross_channel_different_key_fails(self, key):
-        a = SymmetricChannel(key=key, rng=random.Random(3))
-        b = SymmetricChannel(
-            key=random_key(random.Random(8)), rng=random.Random(4)
-        )
-        with pytest.raises(AuthenticationError):
-            b.open(a.seal(b"hello"))

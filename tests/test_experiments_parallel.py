@@ -286,3 +286,34 @@ class TestOneRunBuilder:
                 deviation="dropper",
                 deviation_count=3,
             )
+
+    def test_roles_match_the_planted_population(self, monkeypatch):
+        # A with-outsiders kind needs the community oracle: roles() and
+        # misbehaving() must place it exactly as execution does.
+        import repro.experiments.parallel as parallel
+        from repro.adversaries import HONEST
+
+        planted = {}
+        real_simulation = parallel.Simulation
+
+        def capture(*args, **kwargs):
+            planted.update(kwargs["strategies"])
+            return real_simulation(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "Simulation", capture)
+        request = RunRequest(
+            trace_name="infocom05",
+            family="epidemic",
+            protocol_name="g2g_epidemic",
+            seed=1,
+            overrides=tuple(sorted(TINY.items())),
+            mix=(("dropper_with_outsiders", 0.1),),
+        )
+        parallel.execute_request(request)
+        deviating = tuple(sorted(
+            node for node, strategy in planted.items() if strategy is not HONEST
+        ))
+        roles = request.roles()
+        assert roles == {"dropper_with_outsiders": deviating}
+        assert deviating
+        assert request.misbehaving() == deviating

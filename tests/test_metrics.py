@@ -1,100 +1,13 @@
-"""Tests for the metrics aggregation / comparison / report toolkit."""
-
-import pytest
+"""Tests for the metrics shape predicates and report rendering."""
 
 from repro.metrics import (
-    ComparisonReport,
-    Estimate,
-    ShapeClaim,
     markdown_table,
     minutes,
     monotone_decreasing,
     percent,
     roughly_flat,
     text_table,
-    within_factor,
 )
-from repro.metrics.aggregate import aggregate, success_rates
-from repro.sim.messages import Message
-from repro.sim.results import SimulationResults
-
-
-def run_with_success(rate):
-    results = SimulationResults()
-    n = 10
-    for i in range(n):
-        m = Message(
-            msg_id=i, source=0, destination=1, created_at=0.0, ttl=60.0
-        )
-        results.record_generated(m)
-        if i < rate * n:
-            results.record_delivery(m, 10.0)
-    return results
-
-
-class TestEstimate:
-    def test_empty(self):
-        e = Estimate.of([])
-        assert (e.mean, e.std, e.n) == (0.0, 0.0, 0)
-
-    def test_single(self):
-        e = Estimate.of([4.0])
-        assert e.mean == 4.0
-        assert e.std == 0.0
-        assert e.ci95() == 0.0
-
-    def test_mean_std(self):
-        e = Estimate.of([1.0, 2.0, 3.0])
-        assert e.mean == 2.0
-        assert e.std == pytest.approx(1.0)
-        assert e.stderr == pytest.approx(1.0 / 3**0.5)
-
-    def test_str(self):
-        assert "n=3" in str(Estimate.of([1.0, 2.0, 3.0]))
-
-
-class TestAggregate:
-    def test_success_rates(self):
-        runs = [run_with_success(0.4), run_with_success(0.6)]
-        e = success_rates(runs)
-        assert e.mean == pytest.approx(0.5)
-
-    def test_custom_metric(self):
-        runs = [run_with_success(0.4), run_with_success(0.6)]
-        e = aggregate(runs, lambda r: float(r.generated))
-        assert e.mean == 10.0
-
-
-class TestShapeClaims:
-    def test_holds(self):
-        claim = ShapeClaim(
-            claim_id="x", paper="a > b", predicate=lambda: True
-        )
-        assert claim.evaluate("measured a > b")
-        assert claim.holds
-        assert "HOLDS" in claim.render()
-
-    def test_diverges(self):
-        claim = ShapeClaim(
-            claim_id="x", paper="a > b", predicate=lambda: False
-        )
-        claim.evaluate("measured a < b", note="traces differ")
-        assert "DIVERGES" in claim.render()
-        assert "traces differ" in claim.render()
-
-    def test_report_counts(self):
-        report = ComparisonReport(experiment="fig9")
-        c1 = report.add(
-            ShapeClaim(claim_id="a", paper="p", predicate=lambda: True)
-        )
-        c2 = report.add(
-            ShapeClaim(claim_id="b", paper="p", predicate=lambda: False)
-        )
-        c1.evaluate("m")
-        c2.evaluate("m")
-        assert report.holding == 1
-        assert report.evaluated == 2
-        assert "1/2" in report.render()
 
 
 class TestPredicates:
@@ -107,12 +20,6 @@ class TestPredicates:
         assert roughly_flat([10.0, 12.0, 9.0])
         assert not roughly_flat([1.0, 10.0])
         assert roughly_flat([0.0, 0.0])  # vacuous
-
-    def test_within_factor(self):
-        assert within_factor(10.0, 12.0, 1.5)
-        assert not within_factor(10.0, 30.0, 1.5)
-        assert within_factor(0.0, 0.0, 2.0)
-        assert not within_factor(1.0, 0.0, 2.0)
 
 
 class TestRendering:
@@ -131,30 +38,3 @@ class TestRendering:
         assert minutes(90.0) == "1.5m"
         assert percent(0.125) == "12.5%"
 
-
-class TestSummaryTable:
-    def test_grouped_aggregation(self):
-        from repro.metrics import summary_table
-
-        grouped = {
-            "a": [run_with_success(0.4), run_with_success(0.6)],
-            "b": [run_with_success(1.0)],
-        }
-        table = summary_table(grouped)
-        assert table["a"]["success_rate"].mean == pytest.approx(0.5)
-        assert table["b"]["success_rate"].mean == pytest.approx(1.0)
-        assert set(table["a"]) == {"success_rate", "mean_delay", "cost"}
-
-    def test_detection_rates_estimate(self):
-        from repro.metrics import detection_rates
-        from repro.sim.results import DetectionRecord
-
-        run = run_with_success(0.5)
-        run.record_detection(
-            DetectionRecord(
-                offender=7, detector=0, time=10.0, msg_id=0,
-                deviation="dropper", delay_after_ttl=1.0,
-            )
-        )
-        estimate = detection_rates([run], misbehaving=[7, 8])
-        assert estimate.mean == pytest.approx(0.5)

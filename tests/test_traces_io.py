@@ -6,7 +6,6 @@ from repro.traces import (
     TraceFormatError,
     dump_trace,
     load_trace,
-    load_trace_with_universe,
     make_contact,
     parse_trace,
     save_trace,
@@ -76,17 +75,6 @@ class TestRoundtrip:
         path = tmp_path / "mytrace.txt"
         save_trace(line_trace, path)
         assert load_trace(path).name == "mytrace"
-
-    def test_universe_header_restores_isolated_nodes(self, tmp_path):
-        trace = ContactTrace(
-            name="u",
-            nodes=(0, 1, 7),
-            contacts=(make_contact(0, 1, 0.0, 1.0),),
-        )
-        path = tmp_path / "u.txt"
-        save_trace(trace, path)
-        loaded = load_trace_with_universe(path)
-        assert 7 in loaded.nodes
 
     def test_plain_load_drops_isolated_nodes(self, tmp_path):
         trace = ContactTrace(

@@ -3,26 +3,21 @@
 Three properties carry the scale axis: the source contract (a declared
 universe plus a time-ordered chunk stream), determinism of the lazy
 synthetic generator (same config, same stream — and any chunk
-regenerable in isolation), and lossless round-trips through the packed
-chunked file format.
+regenerable in isolation), and coercion of traces into sources.
 """
 
 import pytest
 
 from repro.perf import COUNTERS
 from repro.traces import (
-    ChunkedFileSource,
     ContactSource,
     ContactTrace,
     InMemorySource,
     StreamModelConfig,
     SyntheticStreamSource,
     ensure_contact_source,
-    iter_chunked_contacts,
     make_contact,
-    read_chunked_universe,
     source_from_spec,
-    write_chunked_contacts,
 )
 
 SMALL = StreamModelConfig(
@@ -146,32 +141,3 @@ class TestSyntheticStreamSource:
             StreamModelConfig(p_leaf=0.9, p_parent=0.2)
 
 
-class TestChunkedFileFormat:
-    def test_round_trip_preserves_chunks(self, tmp_path, trace):
-        path = str(tmp_path / "t.g2gc")
-        chunks = [list(trace.contacts[:2]), [], list(trace.contacts[2:])]
-        written = write_chunked_contacts(path, trace.nodes, chunks)
-        assert written == 3
-        assert read_chunked_universe(path) == list(trace.nodes)
-        # Empty chunks are skipped on write; the others come back with
-        # their boundaries intact.
-        assert [len(c) for c in iter_chunked_contacts(path)] == [2, 1]
-        flat = [c for chunk in iter_chunked_contacts(path) for c in chunk]
-        assert flat == list(trace.contacts)
-
-    def test_range_universe_round_trips_compactly(self, tmp_path):
-        path = str(tmp_path / "r.g2gc")
-        write_chunked_contacts(path, range(1_000_000), [])
-        universe = read_chunked_universe(path)
-        assert universe == range(1_000_000)
-
-    def test_file_source(self, tmp_path):
-        source = SyntheticStreamSource(SMALL)
-        path = str(tmp_path / "stream.g2gc")
-        write_chunked_contacts(path, source.universe, source.iter_chunks())
-        replay = ChunkedFileSource(path)
-        assert isinstance(replay, ContactSource)
-        assert replay.name == "stream"
-        assert replay.universe == range(200)
-        assert replay.spec() is None
-        assert list(replay.iter_contacts()) == list(source.iter_contacts())

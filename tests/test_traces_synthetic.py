@@ -5,7 +5,6 @@ import pytest
 from repro.traces.synthetic import (
     ActivityWindow,
     CommunityModelConfig,
-    expected_pair_rates,
     generate,
 )
 
@@ -112,24 +111,6 @@ class TestGeneration:
         # 12 intra pairs at full rate vs 16 inter pairs at 20% rate
         # (some boosted): intra contacts should dominate per pair.
         assert intra / 12 > inter / 16
-
-    def test_expected_rates_structure(self):
-        st = generate(small_config(), seed=2)
-        rates = expected_pair_rates(st.config, st.assignment)
-        assert len(rates) == 8 * 7 // 2
-        # Intra rates exceed inter rates for equal-sociability pairs;
-        # check the aggregate ordering instead of per-pair.
-        intra = [
-            r
-            for (i, j), r in rates.items()
-            if st.assignment.same_community(i, j)
-        ]
-        inter = [
-            r
-            for (i, j), r in rates.items()
-            if not st.assignment.same_community(i, j)
-        ]
-        assert sum(intra) / len(intra) > sum(inter) / len(inter)
 
     def test_activity_windows_confine_starts(self):
         config = small_config(
